@@ -9,7 +9,10 @@
 //! below reconstructs the experiment from the surrounding text: energy
 //! per algorithm as a function of the LLMI share.)
 
-use crate::datacenter::{Algorithm, Datacenter, DcConfig, DcEngine, DcOutcome, EngineConfig};
+use crate::datacenter::{
+    Algorithm, Datacenter, DcConfig, DcEngine, DcOutcome, EngineConfig, QosBaseline,
+};
+use std::sync::Arc;
 
 use crate::spec::{HostSpec, VmMemberSpec, VmSpec, WorkloadKind};
 use dds_sim_core::{HostId, SimRng, VmId};
@@ -307,6 +310,19 @@ pub fn run_cluster_policy_with(
     policy_name: &str,
     seed: u64,
 ) -> ClusterOutcome {
+    run_cluster_point(registry, spec, policy_name, seed, None)
+}
+
+/// [`run_cluster_policy_with`], folding streaming QoS against a shared
+/// always-awake `baseline` of the point's arrival streams when the
+/// sweep built one. The outcome is bit-identical either way.
+pub(crate) fn run_cluster_point(
+    registry: &crate::registry::PolicyRegistry,
+    spec: &ClusterSpec,
+    policy_name: &str,
+    seed: u64,
+    baseline: Option<Arc<QosBaseline>>,
+) -> ClusterOutcome {
     let entry = registry.get(policy_name).unwrap_or_else(|| {
         panic!(
             "unknown policy '{policy_name}' (registered: {})",
@@ -321,6 +337,9 @@ pub fn run_cluster_policy_with(
         .then_some(HostId(spec.hosts as u32));
     let policy = entry.build(&spec.config, consolidation);
     let mut dc = Datacenter::with_policy(spec.config.clone(), policy, hosts, vms, placement, seed);
+    if let Some(baseline) = baseline {
+        dc.attach_qos_baseline(baseline);
+    }
     // Drive through the engine at the spec's fidelity; the legacy-compat
     // default replays `Datacenter::run` bit-identically.
     DcEngine::new(&mut dc, spec.engine).run_hours(spec.days * 24);

@@ -57,6 +57,7 @@ mod wake;
 pub use engine::{DcEngine, DcEvent, EngineConfig};
 use qos_stream::QosStream;
 pub use qos_stream::QosStreamConfig;
+pub(crate) use qos_stream::{BaselineKey, QosBaseline};
 pub use telemetry::dc_spans;
 
 use crate::spec::{HostSpec, VmSpec, WorkloadKind};

@@ -17,8 +17,9 @@ use std::sync::OnceLock;
 use dds_telemetry::{Counter, Histogram, MetricKind, MetricsRegistry, SpanRecorder};
 
 /// The process-wide control-plane span recorder: consolidation, host
-/// advance and QoS fold wall-clock per control period, aggregated
-/// across every [`Datacenter`](super::Datacenter) in the process.
+/// advance and QoS fold wall-clock per control period, plus the sweep's
+/// shared QoS baseline builds, aggregated across every
+/// [`Datacenter`](super::Datacenter) in the process.
 /// Timing only — dump it next to, never into, the logical snapshot.
 pub fn dc_spans() -> &'static SpanRecorder {
     static SPANS: OnceLock<SpanRecorder> = OnceLock::new();
@@ -40,6 +41,11 @@ pub(super) struct DcMetrics {
     pub migrations: Counter,
     /// Streaming-QoS epoch windows folded and delivered to the policy.
     pub qos_windows: Counter,
+    /// Interactive VM-hours the streaming fold served request by request.
+    pub qos_vm_hours_replayed: Counter,
+    /// Interactive VM-hours merged from a shared always-awake baseline
+    /// instead.
+    pub qos_vm_hours_merged: Counter,
     /// Resume latency in simulated milliseconds (logical: the values
     /// come from the power model, not the wall clock).
     pub wake_resume_ms: Histogram,
@@ -61,6 +67,8 @@ impl DcMetrics {
                 suspend_vetoes: c("dc.suspend_vetoes"),
                 migrations: c("dc.migrations"),
                 qos_windows: c("dc.qos_windows"),
+                qos_vm_hours_replayed: c("dc.qos_vm_hours_replayed"),
+                qos_vm_hours_merged: c("dc.qos_vm_hours_merged"),
                 wake_resume_ms: reg.histogram("dc.wake_resume_ms", MetricKind::Logical),
             }
         })

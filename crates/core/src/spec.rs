@@ -21,7 +21,7 @@ pub enum WorkloadKind {
 }
 
 /// Specification of one VM in a scenario.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VmSpec {
     /// Identity (dense index into the scenario's VM table).
     pub id: VmId,

@@ -34,11 +34,23 @@
 //! assert!(outcomes[1].outcome.energy_kwh() > 0.0);
 //! ```
 //!
+//! ## Shared QoS baselines
+//!
+//! Streaming-QoS points that draw the same arrival streams (same seed,
+//! VM specs, days, noise gate and request profile — a tournament's
+//! policy × wake cells of one scenario and seed) share one always-awake
+//! QoS baseline: it is built once on the pool before the points run,
+//! and each point then re-serves only the VM-hours its policy disturbed
+//! (see `datacenter::qos_stream`). Outcomes are bit-identical to
+//! running every point alone; a point with no partner builds nothing.
+//!
 //! [`Datacenter`]: crate::datacenter::Datacenter
 
-use crate::cluster::{run_cluster_policy_with, ClusterOutcome, ClusterSpec};
+use crate::cluster::{run_cluster_point, ClusterOutcome, ClusterSpec};
+use crate::datacenter::{BaselineKey, QosBaseline};
 use crate::registry::PolicyRegistry;
 use dds_sim_core::WorkerPool;
+use std::sync::Arc;
 
 /// One simulation point of a sweep.
 #[derive(Debug, Clone)]
@@ -101,9 +113,11 @@ pub fn run_sweep_with(
     } else {
         threads.min(n)
     };
+    let baselines = shared_qos_baselines(points, workers);
     let tasks: Vec<_> = points
         .iter()
-        .map(|point| {
+        .zip(baselines)
+        .map(|(point, baseline)| {
             move || {
                 let label = registry
                     .get(&point.policy)
@@ -117,7 +131,7 @@ pub fn run_sweep_with(
                     .label
                     .to_string();
                 let outcome =
-                    run_cluster_policy_with(registry, &point.spec, &point.policy, point.seed);
+                    run_cluster_point(registry, &point.spec, &point.policy, point.seed, baseline);
                 SweepOutcome {
                     policy: point.policy.clone(),
                     label,
@@ -127,6 +141,52 @@ pub fn run_sweep_with(
         })
         .collect();
     WorkerPool::global().run_ordered(workers, tasks)
+}
+
+/// Builds one shared QoS baseline per group of at least two
+/// streaming-QoS points with equal [`BaselineKey`]s, over `workers`
+/// workers, and hands each point its group's baseline. The baseline is
+/// an `Arc` owned by the points' tasks only, so it is dropped when the
+/// last point of its group finishes.
+fn shared_qos_baselines(points: &[SweepPoint], workers: usize) -> Vec<Option<Arc<QosBaseline>>> {
+    let mut keys: Vec<(BaselineKey, usize)> = Vec::new();
+    let groups: Vec<Option<usize>> = points
+        .iter()
+        .map(|point| {
+            let qos = point.spec.config.qos_stream.as_ref()?;
+            let key = BaselineKey::new(
+                point.seed,
+                point.spec.days,
+                point.spec.config.im.noise_threshold,
+                &qos.profile,
+                point.spec.vm_specs(point.seed),
+            );
+            let group = match keys.iter().position(|(k, _)| *k == key) {
+                Some(g) => g,
+                None => {
+                    keys.push((key, 0));
+                    keys.len() - 1
+                }
+            };
+            keys[group].1 += 1;
+            Some(group)
+        })
+        .collect();
+    let mut by_group: Vec<Option<Arc<QosBaseline>>> = vec![None; keys.len()];
+    let (shared, tasks): (Vec<usize>, Vec<_>) = keys
+        .into_iter()
+        .enumerate()
+        .filter(|(_, (_, members))| *members >= 2)
+        .map(|(g, (key, _))| (g, move || Arc::new(QosBaseline::build(key))))
+        .unzip();
+    let built = WorkerPool::global().run_ordered(workers.min(tasks.len().max(1)), tasks);
+    for (g, baseline) in shared.into_iter().zip(built) {
+        by_group[g] = Some(baseline);
+    }
+    groups
+        .into_iter()
+        .map(|group| by_group[group?].clone())
+        .collect()
 }
 
 /// Builds the full §VI.B point grid: `policies × llmi_fractions`, one

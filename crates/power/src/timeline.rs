@@ -189,6 +189,23 @@ impl PowerTimeline {
         }
     }
 
+    /// True when the host is operational at every instant of `[from,
+    /// to)` — vacuously so for an empty span. A request arriving inside
+    /// such a span is served the instant it arrives (`operational_from`
+    /// returns the arrival itself), which is what lets the streaming QoS
+    /// fold merge an always-awake baseline hour instead of re-serving
+    /// it. Adjacent same-state spans merge on [`PowerTimeline::record`],
+    /// so this is one binary search. O(log intervals).
+    pub fn operational_throughout(&self, from: SimTime, to: SimTime) -> bool {
+        if to <= from {
+            return true;
+        }
+        self.index_at(from).is_some_and(|i| {
+            let iv = &self.intervals[i];
+            iv.state.is_operational() && iv.end >= to
+        })
+    }
+
     /// Drops every interval ending at or before `t` (intervals spanning
     /// `t` are kept whole). The streaming QoS pipeline calls this once
     /// its processing window has moved past recorded history, so a
@@ -283,6 +300,7 @@ impl TimelineCursor {
 mod tests {
     use super::*;
     use dds_sim_core::SimRng;
+    use proptest::prelude::*;
 
     fn t(s: u64) -> SimTime {
         SimTime::from_secs(s)
@@ -413,6 +431,28 @@ mod tests {
         tl
     }
 
+    /// Linear reference for `operational_throughout`: walk the intervals,
+    /// extending the covered prefix of `[from, to)` through operational
+    /// spans.
+    fn operational_throughout_linear(tl: &PowerTimeline, from: SimTime, to: SimTime) -> bool {
+        if to <= from {
+            return true;
+        }
+        let mut covered = from;
+        for iv in tl.intervals() {
+            if iv.start <= covered && covered < iv.end {
+                if !iv.state.is_operational() {
+                    return false;
+                }
+                covered = iv.end;
+                if covered >= to {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
     #[test]
     fn binary_search_matches_the_linear_scan_on_merged_timelines() {
         for seed in 0..20 {
@@ -481,6 +521,43 @@ mod tests {
                     resume_window_linear(&tl, q),
                     "case {k}, t = {s}s"
                 );
+                for e in s..horizon {
+                    assert_eq!(
+                        tl.operational_throughout(q, t(e)),
+                        operational_throughout_linear(&tl, q, t(e)),
+                        "case {k}, [{s}s, {e}s)"
+                    );
+                }
+            }
+        }
+        assert!(empty.operational_throughout(t(3), t(3)), "empty span");
+        assert!(!empty.operational_throughout(t(0), t(1)));
+    }
+
+    proptest! {
+        #[test]
+        fn operational_throughout_matches_the_linear_scan(
+            seed in 0u64..10_000,
+            calls in 0usize..40,
+            from in 0u64..2_100,
+            len in 0u64..400,
+            trim in 0u64..2_100,
+            trimmed in any::<bool>(),
+        ) {
+            let mut tl = random_timeline(seed, calls);
+            if trimmed {
+                tl.trim_before(t(trim));
+            }
+            let (a, b) = (t(from), t(from + len));
+            prop_assert_eq!(
+                tl.operational_throughout(a, b),
+                operational_throughout_linear(&tl, a, b)
+            );
+            // Operational throughout ⇒ every instant is served on arrival.
+            if tl.operational_throughout(a, b) {
+                for s in from..from + len {
+                    prop_assert_eq!(tl.operational_from(t(s)), Some(t(s)));
+                }
             }
         }
     }

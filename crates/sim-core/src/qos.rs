@@ -16,7 +16,7 @@
 //! violations while the run is still going and steer its parking
 //! decisions accordingly.
 
-use crate::stats::LatencyHistogram;
+use crate::stats::{LatencyHistogram, PackedHistogram};
 use crate::{SimDuration, SimTime};
 
 /// Aggregated request-level QoS of one run: a latency histogram plus the
@@ -103,6 +103,21 @@ impl QosReport {
         } else {
             self.queue_violations += n;
         }
+    }
+
+    /// Merges a shard of requests that were all served on an awake host
+    /// (no wake hits, none unserved), given as its packed latency
+    /// histogram and its within-SLA count; every other request of such a
+    /// shard is a queue violation. Equivalent to merging the report the
+    /// shard was recorded into — the streaming QoS pipeline's shared
+    /// always-awake baseline stores its VM-hours this way.
+    pub fn merge_awake(&mut self, latencies: &PackedHistogram, under_sla: u64) {
+        let total = latencies.count();
+        debug_assert!(under_sla <= total);
+        self.latencies.merge_packed(latencies);
+        self.total += total;
+        self.under_sla += under_sla;
+        self.queue_violations += total - under_sla;
     }
 
     /// Fraction of requests within the SLA (1.0 when no requests — an
@@ -345,6 +360,7 @@ pub fn power_ready_at(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn counters_partition_the_requests() {
@@ -414,6 +430,97 @@ mod tests {
         }
         assert_eq!(bulk, seq);
         assert_eq!(bulk.queue_violations, 2);
+    }
+
+    #[test]
+    fn merge_awake_equals_merging_the_recorded_report() {
+        let mut shard = QosReport::new(200);
+        for ms in [12, 60, 60, 199, 200, 201, 450] {
+            shard.record(ms, false);
+        }
+        let mut plain = QosReport::new(200);
+        plain.record(900, true);
+        let mut via_pack = plain.clone();
+        plain.merge(&shard);
+        let packed = shard.latencies.pack();
+        via_pack.merge_awake(&packed, shard.under_sla);
+        assert_eq!(via_pack, plain);
+    }
+
+    /// Serves `requests` (`(gap, service, wake wait)` in ms, arrivals
+    /// from `t0`) FCFS on `free`, returning each latency.
+    fn serve_all(free: &mut [SimTime], t0: u64, requests: &[(u64, u64, u64)]) -> Vec<(u64, bool)> {
+        let mut at = t0;
+        requests
+            .iter()
+            .map(|&(gap, service, wait)| {
+                at += gap;
+                let arrival = SimTime::from_millis(at);
+                let ready = SimTime::from_millis(at + wait);
+                fcfs_serve(free, arrival, SimDuration::from_millis(service), ready)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The reconvergence rule of the shared always-awake QoS
+        /// baseline. For arrivals at or after `t0`, FCFS latencies
+        /// depend only on the multiset of `max(free_i, t0)`. So a server
+        /// already free by `t0` may hold any stale value, and the slots
+        /// may come in any order. The all-free pool is the special case
+        /// where every slot is stale.
+        #[test]
+        fn fcfs_latencies_ignore_stale_pool_values_and_slot_order(
+            slots in proptest::collection::vec(
+                (0u64..=10_000, 0u64..=10_000, 1u64..3_000, any::<bool>()),
+                1..8,
+            ),
+            rotate in 0usize..8,
+            requests in proptest::collection::vec((0u64..200, 1u64..400, 0u64..1_600), 0..120),
+            woken in any::<bool>(),
+        ) {
+            const T0: u64 = 10_000;
+            // Wake waits apply only when `woken`: the baseline's merged
+            // hours have none, re-simulated hours may.
+            let requests: Vec<(u64, u64, u64)> = requests
+                .iter()
+                .map(|&(gap, service, wait)| (gap, service, if woken { wait } else { 0 }))
+                .collect();
+            for all_free in [true, false] {
+                let pool = |pick_b: bool| -> Vec<SimTime> {
+                    slots
+                        .iter()
+                        .map(|&(a, b, busy, is_busy)| {
+                            let ms = if is_busy && !all_free {
+                                T0 + busy
+                            } else if pick_b {
+                                b
+                            } else {
+                                a
+                            };
+                            SimTime::from_millis(ms)
+                        })
+                        .collect()
+                };
+                let mut left = pool(false);
+                let mut right = pool(true);
+                let width = right.len();
+                right.rotate_left(rotate % width);
+                prop_assert_eq!(
+                    serve_all(&mut left, T0, &requests),
+                    serve_all(&mut right, T0, &requests)
+                );
+                // The pools stay equivalent: clamped at `t0`, the same
+                // multiset.
+                let clamp = |pool: &[SimTime]| {
+                    let mut v: Vec<SimTime> =
+                        pool.iter().map(|&f| f.max(SimTime::from_millis(T0))).collect();
+                    v.sort();
+                    v
+                };
+                prop_assert_eq!(clamp(&left), clamp(&right));
+            }
+        }
     }
 
     #[test]

@@ -379,6 +379,89 @@ impl LatencyHistogram {
     }
 }
 
+/// A [`LatencyHistogram`] packed to its occupied bucket range, with the
+/// counts LEB128-encoded (a busy hour holds mostly one- and two-byte
+/// counts): the storage form of the streaming QoS pipeline's shared
+/// always-awake baseline, which keeps one per VM-hour.
+/// [`LatencyHistogram::merge_packed`] folds it back bit-identically to
+/// merging the histogram it was packed from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PackedHistogram {
+    /// Bucket index of the first packed count.
+    lo: u32,
+    /// Number of packed buckets: the source's bucket vector from `lo` on.
+    buckets: u32,
+    /// The packed counts, 7 bits per byte, low groups first.
+    bytes: Box<[u8]>,
+    total: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+}
+
+impl PackedHistogram {
+    /// Number of packed samples.
+    pub fn count(&self) -> u64 {
+        self.total
+    }
+}
+
+impl LatencyHistogram {
+    /// Packs the occupied bucket range.
+    pub fn pack(&self) -> PackedHistogram {
+        let lo = self
+            .counts
+            .iter()
+            .position(|&c| c > 0)
+            .unwrap_or(self.counts.len());
+        let mut bytes = Vec::new();
+        for &count in &self.counts[lo..] {
+            let mut c = count;
+            while c >= 0x80 {
+                bytes.push((c & 0x7f) as u8 | 0x80);
+                c >>= 7;
+            }
+            bytes.push(c as u8);
+        }
+        PackedHistogram {
+            lo: lo as u32,
+            buckets: (self.counts.len() - lo) as u32,
+            bytes: bytes.into_boxed_slice(),
+            total: self.total,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+        }
+    }
+
+    /// [`LatencyHistogram::merge`] of a packed histogram: the same `u64`
+    /// state as merging its unpacked source, bucket-vector length
+    /// included.
+    pub fn merge_packed(&mut self, other: &PackedHistogram) {
+        let lo = other.lo as usize;
+        let end = lo + other.buckets as usize;
+        if end > self.counts.len() {
+            self.counts.resize(end, 0);
+        }
+        let mut bytes = other.bytes.iter();
+        for slot in &mut self.counts[lo..end] {
+            let (mut c, mut shift) = (0u64, 0);
+            for &b in bytes.by_ref() {
+                c |= u64::from(b & 0x7f) << shift;
+                if b < 0x80 {
+                    break;
+                }
+                shift += 7;
+            }
+            *slot += c;
+        }
+        self.total += other.total;
+        self.sum += other.sum;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+}
+
 /// A simple aligned text table with CSV export, used by the experiment
 /// binaries to print paper-style tables.
 #[derive(Debug, Clone)]
@@ -817,6 +900,47 @@ mod tests {
                 prop_assert_eq!(ab.quantile(q), ba.quantile(q));
             }
         }
+    }
+
+    proptest! {
+        #[test]
+        fn packed_merge_equals_plain_merge(
+            xs in proptest::collection::vec(0u64..100_000, 0..120),
+            ys in proptest::collection::vec(0u64..100_000, 0..120),
+            bulk in 0u64..5_000_000,
+        ) {
+            let mut base = LatencyHistogram::new();
+            for &x in &xs {
+                base.record(x);
+            }
+            let mut other = LatencyHistogram::new();
+            for &y in &ys {
+                other.record(y);
+            }
+            other.record_n(bulk % 3_000, bulk);
+            let packed = other.pack();
+            prop_assert_eq!(packed.count(), other.count());
+            let mut plain = base.clone();
+            plain.merge(&other);
+            let mut via_pack = base.clone();
+            via_pack.merge_packed(&packed);
+            prop_assert_eq!(&via_pack, &plain);
+        }
+    }
+
+    #[test]
+    fn packing_empty_and_huge_histograms() {
+        let mut h = LatencyHistogram::new();
+        h.record(40);
+        let mut plain = h.clone();
+        h.merge_packed(&LatencyHistogram::new().pack());
+        assert_eq!(h, plain, "merging an empty pack is a no-op");
+        let mut huge = LatencyHistogram::new();
+        huge.record_n(7, 1 << 40);
+        huge.record_n(9_000, (1 << 35) + 3);
+        h.merge_packed(&huge.pack());
+        plain.merge(&huge);
+        assert_eq!(h, plain, "counts of any width round-trip");
     }
 
     proptest! {
