@@ -7,23 +7,27 @@ use super::*;
 impl Datacenter {
     /// The host's idleness probability for the current hour — the mean of
     /// its residents' model probabilities when the policy consumes
-    /// idleness models, the neutral 0.5 otherwise.
-    pub(super) fn host_ip_probability(&self, host: HostId) -> f64 {
+    /// idleness models, the neutral 0.5 otherwise. `resident` is the
+    /// host's [`Residency`] list when the caller has one; `None` scans.
+    pub(super) fn host_ip_probability(&self, host: HostId, resident: Option<&[usize]>) -> f64 {
         if !self.policy.uses_idleness_scores() {
             return 0.5; // no idleness models → neutral grace
         }
-        let stamp = CalendarStamp::from_hour_index(self.hour);
-        let resident: Vec<&VmSim> = self
-            .vms
-            .iter()
-            .filter(|v| v.host == host && !v.parked && !v.departed)
-            .collect();
+        let scanned;
+        let resident = match resident {
+            Some(r) => r,
+            None => {
+                scanned = Residency::scan(&self.vms, host);
+                &scanned
+            }
+        };
         if resident.is_empty() {
             return 1.0; // empty host: confidently idle
         }
+        let stamp = CalendarStamp::from_hour_index(self.hour);
         resident
             .iter()
-            .map(|v| v.im.probability(stamp))
+            .map(|&i| self.vms[i].im.probability(stamp))
             .sum::<f64>()
             / resident.len() as f64
     }
@@ -131,6 +135,7 @@ impl Datacenter {
         }
 
         // --- activity levels and idleness scores for this hour.
+        let score_span = telemetry::dc_spans().span("dc.score");
         let levels: Vec<f64> = self
             .vms
             .iter()
@@ -156,6 +161,7 @@ impl Datacenter {
         } else {
             vec![0.0; self.vms.len()]
         };
+        drop(score_span);
 
         // --- consolidation round.
         if h.is_multiple_of(self.cfg.relocation_period_hours) {
@@ -163,23 +169,29 @@ impl Datacenter {
             self.consolidate(&levels, &scores, hour_start);
         }
 
-        // --- process states & timers reflect this hour's activity.
+        // --- process states & timers reflect this hour's activity, and
+        // the scheduled wakes due now (waking module fires ahead of time).
+        let refresh_span = telemetry::dc_spans().span("dc.refresh");
         self.refresh_processes(&levels, noise, h);
-
-        // --- scheduled wakes due now (waking module fires ahead of time).
         let anticipated: HashSet<HostId> = self
             .waking
             .poll_schedules(hour_start)
             .into_iter()
             .map(|cmd| cmd.mac.host())
             .collect();
+        drop(refresh_span);
 
-        // --- per-host hour simulation.
+        // --- per-host hour simulation. Residency is fixed from here to
+        // the end of the epoch.
+        let residency;
         {
             let _span = telemetry::dc_spans().span("dc.advance_hosts");
+            residency = Residency::build(self.hosts.len(), &self.vms);
             for hid in 0..self.hosts.len() {
+                let hid = HostId::from_index(hid);
                 self.simulate_host_hour(
-                    HostId::from_index(hid),
+                    hid,
+                    residency.of(hid),
                     &levels,
                     noise,
                     hour_start,
@@ -189,7 +201,8 @@ impl Datacenter {
             }
         }
 
-        // --- colocation bookkeeping.
+        // --- colocation bookkeeping, model updates & histories.
+        let learn_span = telemetry::dc_spans().span("dc.learn");
         if self.cfg.track_colocation {
             for i in 0..self.vms.len() {
                 if self.vms[i].departed {
@@ -207,8 +220,6 @@ impl Datacenter {
                 self.coloc_hours[i][i] += 1;
             }
         }
-
-        // --- model updates & histories.
         for (i, vm) in self.vms.iter_mut().enumerate() {
             if vm.departed {
                 continue;
@@ -217,15 +228,15 @@ impl Datacenter {
             self.vm_hist.push(vm.spec.id, levels[i] * vm.spec.vcpus);
         }
         for host in &self.hosts {
-            let demand: f64 = self
-                .vms
+            let demand: f64 = residency
+                .of(host.spec.id)
                 .iter()
-                .filter(|v| v.host == host.spec.id && !v.parked && !v.departed)
-                .map(|v| levels[v.spec.id.index()] * v.spec.vcpus)
+                .map(|&i| levels[i] * self.vms[i].spec.vcpus)
                 .sum();
             self.host_hist
                 .push(host.spec.id, demand / host.spec.cpu_cores.max(1e-9));
         }
+        drop(learn_span);
 
         // --- streaming QoS: serve this hour's requests against the
         // timelines recorded so far (every active VM's host woke within
@@ -344,5 +355,55 @@ impl Datacenter {
                 self.hosts[host].timers.cancel(tid);
             }
         }
+    }
+}
+
+/// The VMs resident on each host — neither parked nor departed — each
+/// host's list in VM-index order, the order every per-host sum runs in.
+/// Built once per epoch after consolidation, when residency is final for
+/// the hour; O(VMs) instead of one full VM scan per host.
+pub(super) struct Residency {
+    /// `vms[start[h]..start[h + 1]]` are host `h`'s residents.
+    start: Vec<usize>,
+    vms: Vec<usize>,
+}
+
+impl Residency {
+    /// True when VM `v` counts as resident on its host.
+    fn counts(v: &VmSim) -> bool {
+        !v.parked && !v.departed
+    }
+
+    /// Buckets `vms` by host (a counting sort, stable in VM index).
+    pub(super) fn build(hosts: usize, vms: &[VmSim]) -> Self {
+        let mut start = vec![0usize; hosts + 1];
+        for v in vms.iter().filter(|v| Self::counts(v)) {
+            start[v.host.index() + 1] += 1;
+        }
+        for h in 0..hosts {
+            start[h + 1] += start[h];
+        }
+        let mut next = start.clone();
+        let mut list = vec![0usize; start[hosts]];
+        for (i, v) in vms.iter().enumerate().filter(|(_, v)| Self::counts(v)) {
+            let slot = &mut next[v.host.index()];
+            list[*slot] = i;
+            *slot += 1;
+        }
+        Residency { start, vms: list }
+    }
+
+    /// Host `host`'s residents, in VM-index order.
+    pub(super) fn of(&self, host: HostId) -> &[usize] {
+        &self.vms[self.start[host.index()]..self.start[host.index() + 1]]
+    }
+
+    /// One host's residents by a full scan — for resumes outside the
+    /// epoch's host loop (management and scheduled wakes), where
+    /// residency may have changed since the lists were built.
+    pub(super) fn scan(vms: &[VmSim], host: HostId) -> Vec<usize> {
+        (0..vms.len())
+            .filter(|&i| vms[i].host == host && Self::counts(&vms[i]))
+            .collect()
     }
 }

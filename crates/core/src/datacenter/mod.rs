@@ -207,7 +207,8 @@ pub struct DcConfig {
     pub request_service: SimDuration,
     /// The response-time SLA threshold.
     pub sla: SimDuration,
-    /// Record the VM×VM colocation matrix (Fig. 2).
+    /// Record the VM×VM colocation matrix (Fig. 2). Off, the matrix is
+    /// never allocated and [`DcOutcome::colocation`] is empty.
     pub track_colocation: bool,
     /// Record request latencies (SLA analysis).
     pub track_sla: bool,
@@ -330,7 +331,9 @@ pub struct DcOutcome {
     /// Per-VM migration counts (Fig. 2 last column).
     pub migrations: Vec<(VmId, u32)>,
     /// Colocation fraction matrix, `coloc[i][j]` = fraction of hours VMs
-    /// i and j shared a host (Fig. 2), when tracked.
+    /// i and j shared a host (Fig. 2), under
+    /// [`DcConfig::track_colocation`]; empty otherwise (the matrix is
+    /// O(VMs²), so untracked runs never allocate it).
     pub colocation: Vec<Vec<f64>>,
     /// Request SLA accounting, when tracked.
     pub sla: SlaStats,
@@ -574,7 +577,11 @@ impl Datacenter {
             rng: SimRng::new(seed),
             hour: 0,
             live_vms: n,
-            coloc_hours: vec![vec![0; n]; n],
+            coloc_hours: if cfg.track_colocation {
+                vec![vec![0; n]; n]
+            } else {
+                Vec::new()
+            },
             sla: SlaStats::default(),
             service_ms_sum: 0.0,
             service_ms_count: 0,
@@ -681,11 +688,13 @@ impl Datacenter {
         let id = self.vms.last().expect("just pushed").spec.id;
         self.record_placement(id, now, dest);
         // Grow the colocation matrix.
-        let n = self.vms.len();
-        for row in &mut self.coloc_hours {
-            row.resize(n, 0);
+        if self.cfg.track_colocation {
+            let n = self.vms.len();
+            for row in &mut self.coloc_hours {
+                row.resize(n, 0);
+            }
+            self.coloc_hours.push(vec![0; n]);
         }
-        self.coloc_hours.push(vec![0; n]);
         Ok(dest)
     }
 

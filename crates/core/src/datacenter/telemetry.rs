@@ -16,9 +16,10 @@ use std::sync::OnceLock;
 
 use dds_telemetry::{Counter, Histogram, MetricKind, MetricsRegistry, SpanRecorder};
 
-/// The process-wide control-plane span recorder: consolidation, host
-/// advance and QoS fold wall-clock per control period, plus the sweep's
-/// shared QoS baseline builds, aggregated across every
+/// The process-wide control-plane span recorder: the phases of each
+/// control period (`dc.score`, `dc.consolidate`, `dc.refresh`,
+/// `dc.advance_hosts`, `dc.learn`, `dc.qos_fold`) plus the sweep's shared
+/// QoS baseline builds, aggregated across every
 /// [`Datacenter`](super::Datacenter) in the process.
 /// Timing only — dump it next to, never into, the logical snapshot.
 pub fn dc_spans() -> &'static SpanRecorder {

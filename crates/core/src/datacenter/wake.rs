@@ -16,7 +16,7 @@ impl Datacenter {
         match state {
             PowerState::Active => now.max(self.hosts[host.index()].meter.cursor()),
             PowerState::Suspended | PowerState::Off => {
-                self.resume_host(host, now, WakeCause::Management)
+                self.resume_host(host, now, WakeCause::Management, None)
             }
             _ => now,
         }
@@ -24,8 +24,15 @@ impl Datacenter {
 
     /// Resumes a host parked in S3 or S5 starting at `at`; returns
     /// completion. S5 always pays the stock (slow) resume path — the
-    /// quick-resume work targets suspend-to-RAM.
-    pub(super) fn resume_host(&mut self, host: HostId, at: SimTime, cause: WakeCause) -> SimTime {
+    /// quick-resume work targets suspend-to-RAM. `resident` as for
+    /// [`Datacenter::host_ip_probability`].
+    pub(super) fn resume_host(
+        &mut self,
+        host: HostId,
+        at: SimTime,
+        cause: WakeCause,
+        resident: Option<&[usize]>,
+    ) -> SimTime {
         let from_off = self.hosts[host.index()].power.state() == PowerState::Off;
         let timings = self.hosts[host.index()].meter.model().timings;
         let latency = if from_off {
@@ -33,7 +40,7 @@ impl Datacenter {
         } else {
             timings.resume_latency(self.cfg.wake_speed)
         };
-        let ip_prob = self.host_ip_probability(host);
+        let ip_prob = self.host_ip_probability(host, resident);
         let mac = self.mac(host);
         let h = &mut self.hosts[host.index()];
         let at = at.max(h.meter.cursor());
@@ -78,30 +85,27 @@ impl Datacenter {
         for cmd in commands {
             let host = cmd.mac.host();
             if self.hosts[host.index()].power.state().is_low_power() {
-                self.resume_host(host, now, WakeCause::Scheduled);
+                self.resume_host(host, now, WakeCause::Scheduled, None);
                 resumed += 1;
             }
         }
         resumed
     }
 
+    /// Simulates one host's hour; `resident` is its [`Residency`] list.
+    ///
+    /// [`Residency`]: super::control::Residency
     #[allow(clippy::too_many_arguments)]
     pub(super) fn simulate_host_hour(
         &mut self,
         hid: HostId,
+        resident: &[usize],
         levels: &[f64],
         noise: f64,
         hour_start: SimTime,
         hour_end: SimTime,
         anticipated: &HashSet<HostId>,
     ) {
-        let resident: Vec<usize> = self
-            .vms
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.host == hid && !v.parked && !v.departed)
-            .map(|(i, _)| i)
-            .collect();
         let active = resident.iter().any(|&i| levels[i] >= noise);
         let demand: f64 = resident
             .iter()
@@ -156,7 +160,7 @@ impl Datacenter {
                 } else {
                     WakeCause::Traffic
                 };
-                let done = self.resume_host(hid, wake_at, cause);
+                let done = self.resume_host(hid, wake_at, cause, Some(resident));
                 if self.cfg.track_sla && !anticipated_wake {
                     // The triggering request pays the full resume latency
                     // plus its service time.
@@ -174,7 +178,7 @@ impl Datacenter {
             let h = &mut self.hosts[hid.index()];
             h.meter.advance(hour_end, PowerState::Active, metered_util);
             if self.cfg.track_sla {
-                self.record_service_requests(&resident, levels, noise, 1.0 / freq);
+                self.record_service_requests(resident, levels, noise, 1.0 / freq);
             }
         } else {
             // Fully idle hour.
@@ -211,7 +215,7 @@ impl Datacenter {
                 .model()
                 .timings
                 .suspend_latency;
-            let ip_prob = self.host_ip_probability(hid);
+            let ip_prob = self.host_ip_probability(hid, Some(resident));
             loop {
                 if t + suspend_latency >= hour_end {
                     // Not enough idle time left: stay awake.
@@ -257,11 +261,9 @@ impl Datacenter {
                         host.meter.record_suspend_cycle();
                         DcMetrics::get().suspends.inc();
                         // Register with the waking module.
-                        let vms: Vec<(VmIp, VmId)> = self
-                            .vms
+                        let vms: Vec<(VmIp, VmId)> = resident
                             .iter()
-                            .filter(|v| v.host == hid && !v.parked && !v.departed)
-                            .map(|v| (VmIp::of(v.spec.id), v.spec.id))
+                            .map(|&i| (VmIp::of(self.vms[i].spec.id), self.vms[i].spec.id))
                             .collect();
                         let mac = HostMac::of(hid);
                         self.waking.register_suspension(RACK, mac, vms, waking_date);

@@ -16,9 +16,10 @@
 //! overall goal of IP-augmented consolidation is to put VMs with similar
 //! IPs together."
 
+use crate::drain::{choose_slot, drain_underloaded, HostLoad, PlanScratch};
 use crate::history::HistoryBook;
 use crate::neat::{HostHistories, NeatConfig, NeatPlanner};
-use crate::types::{ClusterState, ConsolidationPlan, Migration, Swap, VmState};
+use crate::types::{ClusterState, ConsolidationPlan, HostState, Migration, Swap, VmState};
 use dds_sim_core::{HostId, SimRng, VmId};
 use std::collections::HashSet;
 
@@ -94,26 +95,47 @@ impl DrowsyPlanner {
         vm: &VmState,
         exclude: &HashSet<HostId>,
     ) -> Option<HostId> {
+        choose_slot(
+            state,
+            |s| HostLoad::of(&state.hosts[s]),
+            vm,
+            self.config.neat.destination_guard,
+            |s| exclude.contains(&state.hosts[s].id),
+            self.closest_ip_key(vm),
+        )
+        .map(|s| state.hosts[s].id)
+    }
+
+    /// [`DrowsyPlanner::closest_ip_choose`] over a scratch state's cached
+    /// loads.
+    fn closest_ip_slot(
+        &self,
+        scratch: &PlanScratch,
+        vm: &VmState,
+        excluded: &[bool],
+    ) -> Option<usize> {
+        scratch.choose(
+            vm,
+            self.config.neat.destination_guard,
+            |s| excluded[s],
+            self.closest_ip_key(vm),
+        )
+    }
+
+    /// The closest-IP ranking of a feasible destination for `vm`.
+    fn closest_ip_key(
+        &self,
+        vm: &VmState,
+    ) -> impl Fn(&HostState, &HostLoad, f64) -> (i64, f64, HostId) {
         let tol = self.config.ip_tolerance;
-        let mut best: Option<(i64, f64, HostId)> = None; // (dist bucket, -util, id)
-        for h in &state.hosts {
-            if exclude.contains(&h.id) || !h.fits(vm) {
-                continue;
-            }
-            let util_after = (h.cpu_demand() + vm.cpu_demand) / h.cpu_capacity.max(1e-9);
-            if util_after > self.config.neat.destination_guard {
-                continue;
-            }
-            let dist = (h.ip_score() - vm.ip_score).abs();
+        let vm_ip = vm.ip_score;
+        move |host, load, util_after| {
+            let dist = (load.ip_score - vm_ip).abs();
             // Bucket distances by the tolerance so "close" ties break on
             // the classic packing criterion (fuller host first).
             let bucket = (dist / tol).floor() as i64;
-            let key = (bucket, -util_after, h.id);
-            if best.is_none_or(|b| (key.0, key.1, key.2) < (b.0, b.1, b.2)) {
-                best = Some(key);
-            }
+            (bucket, -util_after, host.id)
         }
-        best.map(|(_, _, id)| id)
     }
 
     /// Selection order for migrating VMs off `host_id`: IP distance from
@@ -146,114 +168,48 @@ impl DrowsyPlanner {
         host_hist: &HostHistories,
         _rng: &mut SimRng,
     ) -> ConsolidationPlan {
-        let mut scratch = state.clone();
+        let mut scratch = PlanScratch::new(state);
         let mut plan = ConsolidationPlan::default();
 
         // --- overloaded hosts: IP-aware selection + placement.
-        let overloaded: Vec<HostId> = self.neat.overloaded_hosts(&scratch, host_hist);
-        let overloaded_set: HashSet<HostId> = overloaded.iter().copied().collect();
-        for host_id in overloaded {
-            let order = self.select_order(&scratch, host_id);
-            for vm_id in order {
+        let overloaded = self.neat.overloaded_mask(state, host_hist);
+        for src in (0..overloaded.len()).filter(|&s| overloaded[s]) {
+            let host_id = scratch.state.hosts[src].id;
+            for vm_id in self.select_order(&scratch.state, host_id) {
+                let host = &scratch.state.hosts[src];
+                if !self
+                    .config
+                    .neat
+                    .overload
+                    .is_overloaded(host.utilization(), host_hist.get(host_id))
                 {
-                    let host = scratch.host(host_id).expect("host exists");
-                    let hist = host_hist.get(host_id);
-                    if !self
-                        .config
-                        .neat
-                        .overload
-                        .is_overloaded(host.utilization(), hist)
-                    {
-                        break;
-                    }
+                    break;
                 }
-                let vm = scratch
-                    .host(host_id)
-                    .and_then(|h| h.vms.iter().find(|v| v.id == vm_id))
-                    .cloned()
-                    .expect("vm still resident");
-                let Some(dest) = self.closest_ip_choose(&scratch, &vm, &overloaded_set) else {
+                let pos = host.position_of(vm_id).expect("vm still resident");
+                let vm = host.vms[pos].clone();
+                let Some(dest) = self.closest_ip_slot(&scratch, &vm, &overloaded) else {
                     continue;
                 };
-                let m = Migration {
-                    vm: vm.id,
-                    from: host_id,
-                    to: dest,
-                };
-                if scratch.apply(m).is_ok() {
-                    plan.migrations.push(m);
-                }
+                plan.migrations.push(scratch.move_vm(src, pos, dest));
             }
         }
 
-        // --- underloaded hosts: drain with closest-IP destinations.
-        let mut candidates: Vec<HostId> = scratch
-            .hosts
-            .iter()
-            .filter(|h| {
-                !h.is_empty()
-                    && !overloaded_set.contains(&h.id)
-                    && self.config.neat.underload.is_underloaded(h.utilization())
-            })
-            .map(|h| h.id)
+        // --- underloaded hosts: drain with closest-IP destinations,
+        // biggest resource requirements first ("we first treat VMs with
+        // the biggest resource requirements").
+        let drained = drain_underloaded(
+            &mut scratch,
+            &overloaded,
+            self.config.neat.underload,
+            biggest_first,
+            |s, vm, excluded| self.closest_ip_slot(s, vm, excluded),
+            &mut plan,
+        );
+        let drained: HashSet<HostId> = drained
+            .into_iter()
+            .map(|s| scratch.state.hosts[s].id)
             .collect();
-        candidates.sort_by(|&a, &b| {
-            let ua = scratch.host(a).unwrap().utilization();
-            let ub = scratch.host(b).unwrap().utilization();
-            ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut drained: HashSet<HostId> = HashSet::new();
-        for host_id in candidates {
-            let mut tentative = scratch.clone();
-            let mut moves = Vec::new();
-            let mut exclude = overloaded_set.clone();
-            exclude.insert(host_id);
-            exclude.extend(drained.iter().copied());
-            // Never drain into empty (sleeping) hosts — see NeatPlanner.
-            exclude.extend(
-                tentative
-                    .hosts
-                    .iter()
-                    .filter(|h| h.is_empty())
-                    .map(|h| h.id),
-            );
-            let mut vms = tentative.host(host_id).unwrap().vms.clone();
-            // Biggest resource requirements first ("we first treat VMs
-            // with the biggest resource requirements").
-            vms.sort_by(|a, b| {
-                b.ram_mb
-                    .cmp(&a.ram_mb)
-                    .then(
-                        b.cpu_demand
-                            .partial_cmp(&a.cpu_demand)
-                            .unwrap_or(std::cmp::Ordering::Equal),
-                    )
-                    .then(a.id.cmp(&b.id))
-            });
-            let mut ok = true;
-            for vm in vms {
-                let Some(dest) = self.closest_ip_choose(&tentative, &vm, &exclude) else {
-                    ok = false;
-                    break;
-                };
-                let m = Migration {
-                    vm: vm.id,
-                    from: host_id,
-                    to: dest,
-                };
-                if tentative.apply(m).is_err() {
-                    ok = false;
-                    break;
-                }
-                moves.push(m);
-            }
-            if ok {
-                scratch = tentative;
-                plan.migrations.extend(moves);
-                plan.hosts_to_power_off.push(host_id);
-                drained.insert(host_id);
-            }
-        }
+        let mut scratch = scratch.state;
 
         // --- opportunistic IP-range pass.
         let (moves, swaps) = self.opportunistic_pass(&mut scratch, &drained);
@@ -268,7 +224,7 @@ impl DrowsyPlanner {
     /// capacity (the common case on a tightly packed cluster) the pass
     /// falls back to *exchanging* the extreme VM against the best-matching
     /// VM of another host. Mutates `scratch`; returns `(moves, swaps)`.
-    fn opportunistic_pass(
+    pub(crate) fn opportunistic_pass(
         &self,
         scratch: &mut ClusterState,
         drained: &HashSet<HostId>,
@@ -395,6 +351,19 @@ impl DrowsyPlanner {
         }
         best.map(|(_, s)| s)
     }
+}
+
+/// Drowsy-DC's drain order: biggest RAM first, then biggest CPU demand,
+/// then lowest id.
+pub(crate) fn biggest_first(a: &VmState, b: &VmState) -> std::cmp::Ordering {
+    b.ram_mb
+        .cmp(&a.ram_mb)
+        .then(
+            b.cpu_demand
+                .partial_cmp(&a.cpu_demand)
+                .unwrap_or(std::cmp::Ordering::Equal),
+        )
+        .then(a.id.cmp(&b.id))
 }
 
 /// IP range of a VM set after optionally removing one VM and adding one

@@ -13,6 +13,9 @@
 //!   IQR), underload detection, VM selection (minimum-migration-time,
 //!   random, maximum-correlation) and power-aware best-fit-decreasing
 //!   placement.
+//! * `drain` (crate-private) — the transactional underload drain Neat
+//!   and Drowsy-DC share: moves applied in place with an undo log,
+//!   cached per-host loads for the destination choosers.
 //! * [`drowsy`] — Drowsy-DC's modifications: IP-distance VM selection,
 //!   closest-IP destination choice, and the opportunistic consolidation
 //!   pass that breaks up hosts whose VM IP range exceeds 7σ.
@@ -47,6 +50,7 @@
 
 pub mod adaptive;
 pub mod capacity;
+mod drain;
 pub mod drowsy;
 pub mod filters;
 pub mod history;

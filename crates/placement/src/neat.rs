@@ -13,8 +13,9 @@
 //! time / random / maximum-correlation; placement via power-aware
 //! best-fit-decreasing (PABFD).
 
+use crate::drain::{choose_slot, drain_underloaded, HostLoad, PlanScratch};
 use crate::history::HistoryBook;
-use crate::types::{ClusterState, ConsolidationPlan, HostState, Migration, VmState};
+use crate::types::{ClusterState, ConsolidationPlan, HostState, VmState};
 use dds_sim_core::{HostId, SimRng, VmId};
 use std::collections::HashSet;
 
@@ -265,37 +266,41 @@ impl NeatPlanner {
         vm: &VmState,
         exclude: &HashSet<HostId>,
     ) -> Option<HostId> {
-        let mut best: Option<(f64, f64, HostId)> = None; // (power_inc, -util_after, id)
-        for host in &state.hosts {
-            if exclude.contains(&host.id) || !host.fits(vm) {
-                continue;
-            }
-            let util_before = host.utilization();
-            let util_after = (host.cpu_demand() + vm.cpu_demand) / host.cpu_capacity.max(1e-9);
-            if util_after > self.config.destination_guard {
-                continue;
-            }
-            // Linear power curve: ΔP ∝ Δutil × capacity; homogeneous in
-            // this model but kept explicit for heterogeneous extensions.
-            let power_inc = (util_after - util_before) * host.cpu_capacity;
-            let key = (power_inc, -util_after, host.id);
-            if best.is_none_or(|(p, u, id)| (key.0, key.1, key.2) < (p, u, id)) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, _, id)| id)
+        choose_slot(
+            state,
+            |s| HostLoad::of(&state.hosts[s]),
+            vm,
+            self.config.destination_guard,
+            |s| exclude.contains(&state.hosts[s].id),
+            pabfd_key,
+        )
+        .map(|s| state.hosts[s].id)
     }
 
-    /// Detects overloaded hosts.
-    pub fn overloaded_hosts(&self, state: &ClusterState, host_hist: &HostHistories) -> Vec<HostId> {
+    /// [`NeatPlanner::pabfd_choose`] over a scratch state's cached loads.
+    fn pabfd_slot(&self, scratch: &PlanScratch, vm: &VmState, excluded: &[bool]) -> Option<usize> {
+        scratch.choose(
+            vm,
+            self.config.destination_guard,
+            |s| excluded[s],
+            pabfd_key,
+        )
+    }
+
+    /// The overloaded hosts, as a mask over `state.hosts` slots.
+    pub(crate) fn overloaded_mask(
+        &self,
+        state: &ClusterState,
+        host_hist: &HostHistories,
+    ) -> Vec<bool> {
         state
             .hosts
             .iter()
-            .filter(|h| {
-                let hist = host_hist.get(h.id);
-                self.config.overload.is_overloaded(h.utilization(), hist)
+            .map(|h| {
+                self.config
+                    .overload
+                    .is_overloaded(h.utilization(), host_hist.get(h.id))
             })
-            .map(|h| h.id)
             .collect()
     }
 
@@ -307,107 +312,61 @@ impl NeatPlanner {
         host_hist: &HostHistories,
         rng: &mut SimRng,
     ) -> ConsolidationPlan {
-        let mut scratch = state.clone();
+        let mut scratch = PlanScratch::new(state);
         let mut plan = ConsolidationPlan::default();
 
         // --- (2)+(3)+(4): relieve overloaded hosts.
-        let overloaded: Vec<HostId> = self.overloaded_hosts(&scratch, host_hist);
-        let overloaded_set: HashSet<HostId> = overloaded.iter().copied().collect();
-        for host_id in overloaded {
+        let overloaded = self.overloaded_mask(state, host_hist);
+        for src in (0..overloaded.len()).filter(|&s| overloaded[s]) {
             loop {
-                let host = scratch.host(host_id).expect("host exists");
-                let hist = host_hist.get(host_id);
-                if !self.config.overload.is_overloaded(host.utilization(), hist) {
+                let host = &scratch.state.hosts[src];
+                if !self
+                    .config
+                    .overload
+                    .is_overloaded(host.utilization(), host_hist.get(host.id))
+                {
                     break;
                 }
                 let Some(idx) = self.config.selection.pick(&host.vms, vm_hist, rng) else {
                     break;
                 };
                 let vm = host.vms[idx].clone();
-                let Some(dest) = self.pabfd_choose(&scratch, &vm, &overloaded_set) else {
+                let Some(dest) = self.pabfd_slot(&scratch, &vm, &overloaded) else {
                     break; // nowhere to put it; accept the overload
                 };
-                let m = Migration {
-                    vm: vm.id,
-                    from: host_id,
-                    to: dest,
-                };
-                if scratch.apply(m).is_err() {
-                    break;
-                }
-                plan.migrations.push(m);
+                plan.migrations.push(scratch.move_vm(src, idx, dest));
             }
         }
 
-        // --- (1)+(4): drain underloaded hosts, least-utilized first.
-        let mut candidates: Vec<HostId> = scratch
-            .hosts
-            .iter()
-            .filter(|h| {
-                !h.is_empty()
-                    && !overloaded_set.contains(&h.id)
-                    && self.config.underload.is_underloaded(h.utilization())
-            })
-            .map(|h| h.id)
-            .collect();
-        candidates.sort_by(|&a, &b| {
-            let ua = scratch.host(a).unwrap().utilization();
-            let ub = scratch.host(b).unwrap().utilization();
-            ua.partial_cmp(&ub).unwrap_or(std::cmp::Ordering::Equal)
-        });
-        let mut drained: HashSet<HostId> = HashSet::new();
-        for host_id in candidates {
-            // Tentatively place every VM elsewhere; commit only if all fit.
-            let mut tentative = scratch.clone();
-            let mut moves = Vec::new();
-            let mut exclude = overloaded_set.clone();
-            exclude.insert(host_id);
-            exclude.extend(drained.iter().copied());
-            // Draining must target hosts that stay active anyway; moving
-            // VMs onto an empty (sleeping) host merely relocates the
-            // problem and causes hourly ping-pong.
-            exclude.extend(
-                tentative
-                    .hosts
-                    .iter()
-                    .filter(|h| h.is_empty())
-                    .map(|h| h.id),
-            );
-            // Biggest VMs first (BFD ordering).
-            let mut vms = tentative.host(host_id).unwrap().vms.clone();
-            vms.sort_by(|a, b| {
-                b.cpu_demand
-                    .partial_cmp(&a.cpu_demand)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(b.ram_mb.cmp(&a.ram_mb))
-            });
-            let mut ok = true;
-            for vm in vms {
-                // Never drain into other hosts being drained or overloaded.
-                let Some(dest) = self.pabfd_choose(&tentative, &vm, &exclude) else {
-                    ok = false;
-                    break;
-                };
-                let m = Migration {
-                    vm: vm.id,
-                    from: host_id,
-                    to: dest,
-                };
-                if tentative.apply(m).is_err() {
-                    ok = false;
-                    break;
-                }
-                moves.push(m);
-            }
-            if ok {
-                scratch = tentative;
-                plan.migrations.extend(moves);
-                plan.hosts_to_power_off.push(host_id);
-                drained.insert(host_id);
-            }
-        }
+        // --- (1)+(4): drain underloaded hosts, least-utilized first,
+        // biggest VMs first (BFD ordering).
+        drain_underloaded(
+            &mut scratch,
+            &overloaded,
+            self.config.underload,
+            bfd_order,
+            |s, vm, excluded| self.pabfd_slot(s, vm, excluded),
+            &mut plan,
+        );
         plan
     }
+}
+
+/// PABFD's ranking of a feasible destination: smallest power increase,
+/// then highest post-placement utilization, then lowest id.
+fn pabfd_key(host: &HostState, load: &HostLoad, util_after: f64) -> (f64, f64, HostId) {
+    // Linear power curve: ΔP ∝ Δutil × capacity; homogeneous in this
+    // model but kept explicit for heterogeneous extensions.
+    let power_inc = (util_after - load.utilization(host)) * host.cpu_capacity;
+    (power_inc, -util_after, host.id)
+}
+
+/// Neat's drain order: biggest CPU demand first, then biggest RAM.
+pub(crate) fn bfd_order(a: &VmState, b: &VmState) -> std::cmp::Ordering {
+    b.cpu_demand
+        .partial_cmp(&a.cpu_demand)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(b.ram_mb.cmp(&a.ram_mb))
 }
 
 /// Returns the VMs of a host sorted for deterministic iteration (by id).

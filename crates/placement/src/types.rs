@@ -117,7 +117,7 @@ impl HostState {
     }
 
     /// Index of a VM in `vms`, if resident.
-    fn position_of(&self, vm: VmId) -> Option<usize> {
+    pub(crate) fn position_of(&self, vm: VmId) -> Option<usize> {
         self.vms.iter().position(|v| v.id == vm)
     }
 }
@@ -213,14 +213,25 @@ impl ClusterState {
         self.hosts.iter().map(|h| h.vms.len()).sum()
     }
 
+    /// Position of host `id` in `hosts`. O(1) when the host sits at its
+    /// own index (`hosts[id.index()].id == id`, the datacenter's dense
+    /// ids); otherwise a scan, for views whose ids do not match their
+    /// slots (e.g. Oasis's packing view with a host removed).
+    pub fn slot_of(&self, id: HostId) -> Option<usize> {
+        match self.hosts.get(id.index()) {
+            Some(h) if h.id == id => Some(id.index()),
+            _ => self.hosts.iter().position(|h| h.id == id),
+        }
+    }
+
     /// Looks up a host.
     pub fn host(&self, id: HostId) -> Option<&HostState> {
-        self.hosts.iter().find(|h| h.id == id)
+        self.slot_of(id).map(|i| &self.hosts[i])
     }
 
     /// Mutable host lookup.
     pub fn host_mut(&mut self, id: HostId) -> Option<&mut HostState> {
-        self.hosts.iter_mut().find(|h| h.id == id)
+        self.slot_of(id).map(|i| &mut self.hosts[i])
     }
 
     /// Finds the host currently holding `vm`.
@@ -239,16 +250,8 @@ impl ClusterState {
         if m.from == m.to {
             return Err(PlanError::SelfMigration(m));
         }
-        let from_idx = self
-            .hosts
-            .iter()
-            .position(|h| h.id == m.from)
-            .ok_or(PlanError::UnknownHost(m.from))?;
-        let to_idx = self
-            .hosts
-            .iter()
-            .position(|h| h.id == m.to)
-            .ok_or(PlanError::UnknownHost(m.to))?;
+        let from_idx = self.slot_of(m.from).ok_or(PlanError::UnknownHost(m.from))?;
+        let to_idx = self.slot_of(m.to).ok_or(PlanError::UnknownHost(m.to))?;
         let vm_idx = self.hosts[from_idx]
             .position_of(m.vm)
             .ok_or(PlanError::VmNotOnSource(m))?;
@@ -271,14 +274,10 @@ impl ClusterState {
             }));
         }
         let a_idx = self
-            .hosts
-            .iter()
-            .position(|h| h.id == s.host_a)
+            .slot_of(s.host_a)
             .ok_or(PlanError::UnknownHost(s.host_a))?;
         let b_idx = self
-            .hosts
-            .iter()
-            .position(|h| h.id == s.host_b)
+            .slot_of(s.host_b)
             .ok_or(PlanError::UnknownHost(s.host_b))?;
         let va_pos = self.hosts[a_idx]
             .position_of(s.vm_a)
@@ -514,6 +513,39 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PlanError::DoesNotFit(_)));
         assert!(format!("{err}").contains("does not fit"));
+        s.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn host_lookup_falls_back_when_ids_are_not_dense() {
+        // Dense: every host at its own index.
+        let dense = ClusterState::new(vec![host(0, 0, vec![]), host(1, 0, vec![])]);
+        assert_eq!(dense.slot_of(HostId(1)), Some(1));
+        // Host 0 removed (Oasis's packing view): host 2 sits at slot 1,
+        // and slot 2 does not exist; host 1 sits at slot 0.
+        let mut s = ClusterState::new(vec![
+            host(0, 0, vec![]),
+            host(1, 0, vec![vm(1, 0.5, 0.0)]),
+            host(2, 0, vec![]),
+        ]);
+        s.hosts.retain(|h| h.id != HostId(0));
+        assert_eq!(s.slot_of(HostId(1)), Some(0));
+        assert_eq!(s.slot_of(HostId(2)), Some(1));
+        assert_eq!(s.slot_of(HostId(0)), None);
+        assert_eq!(s.host(HostId(2)).unwrap().id, HostId(2));
+        assert_eq!(s.host_mut(HostId(1)).unwrap().id, HostId(1));
+        // Sparse ids beyond the slot count.
+        let sparse = ClusterState::new(vec![host(7, 0, vec![]), host(3, 0, vec![])]);
+        assert_eq!(sparse.host(HostId(3)).unwrap().id, HostId(3));
+        assert_eq!(sparse.host(HostId(7)).unwrap().id, HostId(7));
+        // Moves and swaps resolve through the same fallback.
+        s.apply(Migration {
+            vm: VmId(1),
+            from: HostId(1),
+            to: HostId(2),
+        })
+        .unwrap();
+        assert_eq!(s.host_of(VmId(1)), Some(HostId(2)));
         s.check_invariants().unwrap();
     }
 
