@@ -3,61 +3,37 @@
 //!
 //! Runs the `sla-web-front` scenario (or `--file`/another catalog name)
 //! under **both** resume paths — Drowsy-DC's ≈800 ms quick resume and the
-//! ≈1500 ms stock kernel — and replays the `[qos]` request workload
-//! against every policy's power timelines (`dds-qos`). The table shows
-//! the §VI.A story end to end: an always-awake fleet meets "more than
-//! 99 % of requests within 200 ms" at more than 3× the energy, while the
-//! drowsy policies keep the SLA and expose the wake-latency tail at
-//! p99.9 (≈ the resume latency + service).
+//! ≈1500 ms stock kernel — and evaluates the `[qos]` request workload
+//! inline with every policy's run (the streaming pipeline, `dds-core`'s
+//! `DcConfig::stream_qos`). The table shows the §VI.A story end to end:
+//! an always-awake fleet meets "more than 99 % of requests within
+//! 200 ms" at more than 3× the energy, while the drowsy policies keep
+//! the SLA and expose the wake-latency tail at p99.9 (≈ the resume
+//! latency + service). The closed-loop `sla-aware` policy observes each
+//! epoch's QoS window and trades energy for fewer wake violations.
 //!
 //! ```text
 //! qos                        # the sla-web-front scenario, quick + stock
 //! qos --quick --json         # CI-sized run, BENCH_qos.json artifact
 //! qos --scenario <name>      # another catalog entry (needs a [qos] section)
 //! qos --file my.scenario     # your own scenario file
-//! qos --streaming            # evaluate inline (DcConfig::qos_stream)
-//! qos --throughput           # time the replay pipelines (adds JSON section)
 //! ```
-//!
-//! `--streaming` switches the evaluation from the post-hoc replay to the
-//! streaming pipeline riding inside the run. For open-loop policies the
-//! artifacts are **byte-identical** either way (the CI job diffs them);
-//! closed-loop policies (`sla-aware`) actually consume the signal and
-//! legitimately diverge, so keep them out of cross-mode diffs.
 //!
 //! Shared flags: `--seed N`, `--threads N` (0 = auto; reports are
 //! bit-identical for any value — the `qos-smoke` CI job diffs serial vs
 //! parallel runs), `--hosts N` (rescale the scenario fleet),
-//! `--policies a,b,c`, `--out DIR`, `--json`, `--telemetry[=DIR]`.
+//! `--policies a,b,c` (standard-registry names; an unknown name lists
+//! the registered ones and exits non-zero), `--out DIR`, `--json`,
+//! `--telemetry[=DIR]`.
 
+use dds_bench::tournament::WAKE_VARIANTS;
 use dds_bench::{pct1, ExpOptions, JsonObject};
-use dds_power::WakeSpeed;
-use dds_qos::{replay, replay_per_request, QosConfig, QosReport};
-use dds_scenarios::{find, run_scenario_qos_mode, QosMode, QosSpec, Scenario};
+use dds_core::registry::PolicyRegistry;
+use dds_qos::QosReport;
+use dds_scenarios::{find, run_scenario_qos, QosSpec, Scenario};
 use dds_sim_core::stats::TextTable;
-use dds_sim_core::SimDuration;
+use dds_traces::RequestProfile;
 use std::process::ExitCode;
-use std::time::Instant;
-
-/// One wake-path variant of the experiment.
-struct Variant {
-    key: &'static str,
-    wake: WakeSpeed,
-    resume: SimDuration,
-}
-
-const VARIANTS: [Variant; 2] = [
-    Variant {
-        key: "quick",
-        wake: WakeSpeed::Quick,
-        resume: SimDuration::from_millis(800),
-    },
-    Variant {
-        key: "stock",
-        wake: WakeSpeed::Normal,
-        resume: SimDuration::from_millis(1500),
-    },
-];
 
 fn fmt_ms(q: Option<f64>) -> String {
     match q {
@@ -88,13 +64,9 @@ fn main() -> ExitCode {
 
     let mut scenario_name = "sla-web-front".to_string();
     let mut file: Option<String> = None;
-    let mut mode = QosMode::PostHoc;
-    let mut throughput = false;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--streaming" => mode = QosMode::Streaming,
-            "--throughput" => throughput = true,
             "--scenario" => {
                 i += 1;
                 match rest.get(i) {
@@ -117,8 +89,8 @@ fn main() -> ExitCode {
             }
             flag => {
                 eprintln!(
-                    "error: unknown flag {flag} (expected --scenario NAME, --file PATH, \
-                     --streaming, --throughput or the shared experiment flags)"
+                    "error: unknown flag {flag} (expected --scenario NAME, --file PATH \
+                     or the shared experiment flags)"
                 );
                 return ExitCode::FAILURE;
             }
@@ -152,6 +124,14 @@ fn main() -> ExitCode {
         },
     };
     if let Some(policies) = &opts.policies {
+        let registry = PolicyRegistry::standard();
+        if let Some(unknown) = policies.iter().find(|p| registry.get(p).is_none()) {
+            eprintln!(
+                "error: unknown policy '{unknown}' (registered: {})",
+                registry.names().join(", ")
+            );
+            return ExitCode::FAILURE;
+        }
         scenario.policies = policies.clone();
     }
     if opts.quick && scenario.days > 2 {
@@ -162,21 +142,14 @@ fn main() -> ExitCode {
         scenario.scale_to_hosts(hosts);
         println!("(--hosts: fleet rescaled to {hosts} machines)");
     }
-    let base_qos = scenario.qos.clone();
+    let base_profile = scenario.qos_or_default().profile;
     println!(
-        "scenario '{}': {} hosts, {} VMs, {} days, SLA {} ms, {} evaluation\n  {}",
+        "scenario '{}': {} hosts, {} VMs, {} days, SLA {} ms, streaming evaluation\n  {}",
         scenario.name,
         scenario.host_count(),
         scenario.vm_count(),
         scenario.days,
-        base_qos
-            .as_ref()
-            .map(|q| q.profile.sla.as_millis())
-            .unwrap_or(200),
-        match mode {
-            QosMode::PostHoc => "post-hoc",
-            QosMode::Streaming => "streaming",
-        },
+        base_profile.sla.as_millis(),
         scenario.summary,
     );
 
@@ -185,17 +158,12 @@ fn main() -> ExitCode {
          p50_ms,p99_ms,p999_ms,wake_violations,queue_violations,worst_wake_ms\n",
     );
     let mut variant_objects = Vec::new();
-    for variant in &VARIANTS {
-        // Re-aim the scenario's request workload at this resume path; a
-        // scenario without [qos] gets the matching web-search profile.
-        let profile = base_qos
-            .as_ref()
-            .map(|q| q.profile.clone())
-            .unwrap_or_else(dds_traces::RequestProfile::web_search_quick_resume);
+    for variant in &WAKE_VARIANTS {
+        // Re-aim the scenario's request workload at this resume path.
         scenario.qos = Some(QosSpec {
-            profile: dds_traces::RequestProfile {
+            profile: RequestProfile {
                 resume_latency: variant.resume,
-                ..profile
+                ..base_profile.clone()
             },
             wake: variant.wake,
         });
@@ -204,7 +172,7 @@ fn main() -> ExitCode {
             variant.key,
             variant.resume.as_millis()
         );
-        let results = run_scenario_qos_mode(&scenario, Some(opts.seed), opts.threads, mode);
+        let results = run_scenario_qos(&scenario, Some(opts.seed), opts.threads);
         let mut table = TextTable::new(vec![
             "policy",
             "energy kWh",
@@ -267,103 +235,13 @@ fn main() -> ExitCode {
          requests within the threshold) at the full energy bill; drowsy \
          policies keep the SLA and surface the resume latency at p99.9."
     );
-    let mut artifact = opts
+    let artifact = opts
         .bench_json("qos")
         .str("scenario", &scenario.name)
         .int("days", scenario.days)
         .array("variants", &variant_objects);
-    if throughput {
-        artifact = artifact.object(
-            "throughput",
-            &measure_throughput(&scenario, &base_qos, opts.seed, opts.threads),
-        );
-    }
     opts.write_csv("qos.csv", &csv);
     opts.write_bench_json("qos", &artifact);
     opts.write_telemetry("qos", None, None);
     ExitCode::SUCCESS
-}
-
-/// Times the three request-evaluation pipelines on one recorded
-/// `drowsy-dc` run of the scenario and reports requests per wall-second:
-/// the original event-per-request replay, the interval-batched replay
-/// (both post-hoc, over the identical recorded run — their reports are
-/// asserted equal), and the streaming run end to end (its rate includes
-/// the simulation itself, so it is a lower bound on the pipeline's own
-/// throughput). Wall-clock numbers, so this section is kept out of the
-/// byte-diffed CI artifacts unless `--throughput` is passed.
-fn measure_throughput(
-    scenario: &Scenario,
-    base_qos: &Option<QosSpec>,
-    seed: u64,
-    threads: usize,
-) -> JsonObject {
-    let mut s = scenario.clone();
-    s.policies = vec!["drowsy-dc".to_string()];
-    s.qos = Some(QosSpec {
-        profile: base_qos
-            .as_ref()
-            .map(|q| q.profile.clone())
-            .unwrap_or_else(dds_traces::RequestProfile::web_search_quick_resume),
-        wake: base_qos
-            .as_ref()
-            .map(|q| q.wake)
-            .unwrap_or(WakeSpeed::Quick),
-    });
-    println!("\nthroughput (drowsy-dc, threads = {threads}, 0 = auto):");
-    // One recorded run; both replays walk the identical timelines.
-    let rows = run_scenario_qos_mode(&s, Some(seed), threads, QosMode::PostHoc);
-    let (recorded, batched_report) = rows.into_iter().next().expect("one policy row");
-    let spec = s.to_cluster_spec();
-    let cfg = QosConfig {
-        profile: s.qos.as_ref().expect("set above").profile.clone(),
-        noise: spec.config.im.noise_threshold,
-    };
-    let vms = spec.vm_specs(seed);
-    let t0 = Instant::now();
-    let reference = replay_per_request(&vms, &recorded.outcome.dc, &cfg, seed, threads);
-    let per_request_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let batched = replay(&vms, &recorded.outcome.dc, &cfg, seed, threads);
-    let batched_s = t1.elapsed().as_secs_f64();
-    assert_eq!(reference, batched, "the pipelines must agree to the bit");
-    assert_eq!(reference, batched_report);
-    let t2 = Instant::now();
-    let streaming = run_scenario_qos_mode(&s, Some(seed), threads, QosMode::Streaming);
-    let streaming_s = t2.elapsed().as_secs_f64();
-    assert_eq!(
-        streaming.first().map(|(_, r)| r),
-        Some(&batched),
-        "streaming must agree for the open-loop policy"
-    );
-    let requests = batched.total;
-    let rps = |secs: f64| requests as f64 / secs.max(1e-9);
-    let speedup = per_request_s / batched_s.max(1e-9);
-    let mut table = TextTable::new(vec!["pipeline", "wall s", "requests/s"]);
-    table.row(vec![
-        "per-request replay (PR 5)".into(),
-        format!("{per_request_s:.3}"),
-        format!("{:.0}", rps(per_request_s)),
-    ]);
-    table.row(vec![
-        "batched replay".into(),
-        format!("{batched_s:.3}"),
-        format!("{:.0}", rps(batched_s)),
-    ]);
-    table.row(vec![
-        "streaming (whole run)".into(),
-        format!("{streaming_s:.3}"),
-        format!("{:.0}", rps(streaming_s)),
-    ]);
-    println!("{}", table.render());
-    println!("batched vs per-request speedup: {speedup:.1}x over {requests} requests");
-    JsonObject::new()
-        .int("requests", requests)
-        .num("per_request_replay_s", per_request_s)
-        .num("per_request_replay_rps", rps(per_request_s))
-        .num("batched_replay_s", batched_s)
-        .num("batched_replay_rps", rps(batched_s))
-        .num("streaming_run_s", streaming_s)
-        .num("streaming_run_rps", rps(streaming_s))
-        .num("batched_speedup", speedup)
 }

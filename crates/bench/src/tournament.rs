@@ -26,7 +26,6 @@
 //! below by attainment. That is the paper's claim shape — you only get
 //! to brag about kWh if the requests came back in time.
 
-use dds_core::datacenter::QosStreamConfig;
 use dds_core::registry::PolicyRegistry;
 use dds_core::sweep::{run_sweep_with, seed_replicates, SweepPoint};
 use dds_power::WakeSpeed;
@@ -104,11 +103,7 @@ pub fn build_grid(scenarios: &[Scenario], policies: &[String], seeds: &[u64]) ->
     let mut base_points = Vec::new();
     for scenario in scenarios {
         let family = scenario.family();
-        let base_profile = scenario
-            .qos
-            .as_ref()
-            .map(|q| q.profile.clone())
-            .unwrap_or_else(RequestProfile::web_search_quick_resume);
+        let base_profile = scenario.qos_or_default().profile;
         let base_spec = scenario.to_cluster_spec();
         for variant in &WAKE_VARIANTS {
             let profile = RequestProfile {
@@ -116,12 +111,7 @@ pub fn build_grid(scenarios: &[Scenario], policies: &[String], seeds: &[u64]) ->
                 ..base_profile.clone()
             };
             let mut spec = base_spec.clone();
-            spec.config.sla = profile.sla;
-            spec.config.request_peak_rps = profile.peak_rps;
-            spec.config.request_service = SimDuration::from_millis(profile.mean_service_ms as u64);
-            spec.config.wake_speed = variant.wake;
-            spec.config.track_power_timeline = false;
-            spec.config.qos_stream = Some(QosStreamConfig::serial(profile));
+            spec.config.stream_qos(profile, variant.wake);
             for policy in policies {
                 base_points.push(SweepPoint {
                     policy: policy.clone(),

@@ -78,6 +78,7 @@ use dds_power::{
 };
 use dds_sim_core::time::CalendarStamp;
 use dds_sim_core::{HostId, RackId, SimDuration, SimRng, SimTime, VmId};
+use dds_traces::RequestProfile;
 use std::collections::HashSet;
 
 /// Which control algorithm manages the datacenter.
@@ -213,8 +214,9 @@ pub struct DcConfig {
     /// Record request latencies (SLA analysis).
     pub track_sla: bool,
     /// Record per-host [`PowerTimeline`]s and the VM placement log, the
-    /// inputs of the request-level QoS replay (`dds-qos`). Off by
-    /// default: energy-only experiments pay nothing for it.
+    /// inputs of the post-hoc replay (`dds_qos::replay`) that tests use
+    /// as the oracle of the streaming pipeline. Off by default:
+    /// production runs evaluate QoS with [`DcConfig::qos_stream`].
     pub track_power_timeline: bool,
     /// Compute request-level QoS *inline* with the run (the streaming
     /// pipeline; see [`QosStreamConfig`]): per-epoch [`QosWindow`]s
@@ -252,6 +254,29 @@ impl DcConfig {
             track_power_timeline: false,
             qos_stream: None,
         }
+    }
+
+    /// Aims the run at a request workload: the SLA threshold, the
+    /// first-packet wake model's request rate and service time follow
+    /// `profile`, and hosts resume on the `wake` path. A scenario's
+    /// `[qos]` section configures every run of it this way, so the
+    /// simulation's own wake model and the request client agree.
+    pub fn set_request_profile(&mut self, profile: &RequestProfile, wake: WakeSpeed) {
+        self.sla = profile.sla;
+        self.request_peak_rps = profile.peak_rps;
+        self.request_service = SimDuration::from_millis(profile.mean_service_ms as u64);
+        self.wake_speed = wake;
+    }
+
+    /// Evaluates `profile`'s request-level QoS inline with the run:
+    /// [`DcConfig::set_request_profile`], a serial [`QosStreamConfig`]
+    /// (sweeps already parallelize across points), and no whole-run
+    /// timeline retention. Every QoS entry point configures its runs
+    /// through this one rule.
+    pub fn stream_qos(&mut self, profile: RequestProfile, wake: WakeSpeed) {
+        self.set_request_profile(&profile, wake);
+        self.track_power_timeline = false;
+        self.qos_stream = Some(QosStreamConfig::serial(profile));
     }
 }
 
@@ -340,7 +365,7 @@ pub struct DcOutcome {
     /// Suspend cycles per host (oscillation diagnostics).
     pub suspend_cycles: Vec<(HostId, u64)>,
     /// Per-host power-state timelines (indexed by host), recorded under
-    /// [`DcConfig::track_power_timeline`]; empty otherwise. The QoS
+    /// [`DcConfig::track_power_timeline`]; empty otherwise. The post-hoc
     /// replay's view of when each host could actually serve.
     pub timelines: Vec<PowerTimeline>,
     /// The VM placement log (see [`PlacementRecord`]), recorded under

@@ -1,11 +1,9 @@
 //! The streaming QoS pipeline: request-level SLA accounting computed
-//! *inline* with the run, one control epoch at a time.
+//! *inline* with the run, one control epoch at a time. It is the only
+//! way production code evaluates request QoS (`DcConfig::stream_qos`).
 //!
-//! The post-hoc replay (`dds-qos`) needs the whole run recorded first —
-//! every host's [`PowerTimeline`] plus the complete placement log — and
-//! only then walks the request streams. This module runs the same
-//! pipeline online: at the end of each control epoch it draws that hour's
-//! Poisson arrivals per interactive VM (interval-batched, through
+//! At the end of each control epoch the pipeline draws that hour's
+//! Poisson arrivals per interactive VM (hour-batched, through
 //! [`RequestStream`]), routes them with the VM's *current* residency,
 //! serves them against the timeline recorded so far, and folds the
 //! results into a per-epoch [`QosWindow`]. The window is handed to the
@@ -16,9 +14,12 @@
 //!
 //! ## Bit-identity with the post-hoc replay
 //!
-//! Streaming and replay share their RNG streams (per-VM
-//! `stream_indexed("qos-requests", vm)`), their draw protocol
-//! ([`RequestStream`]), and their service arithmetic
+//! The test oracle (`dds_qos::replay`) walks a finished run's recorded
+//! timelines and placement log one request at a time. Streaming and
+//! replay share their RNG streams (per-VM
+//! `stream_indexed("qos-requests", vm)`), their draw protocol (all gaps,
+//! then all service times, per hour — [`RequestStream`] is pinned to
+//! `RequestGenerator` draw for draw), and their service arithmetic
 //! (`dds_sim_core::qos::{fcfs_serve, power_ready_at}`), so on any run
 //! without mid-run departures the streaming report is **bit-identical**
 //! to replaying the finished run — for any worker-thread count on either
@@ -130,7 +131,7 @@ pub(super) struct QosStream {
     /// Activity gate (the run's `ImConfig::noise_threshold`).
     noise: f64,
     /// Per-VM request RNG streams (`stream_indexed("qos-requests", vm)`),
-    /// advanced exactly as the replay's would be.
+    /// advanced exactly as the post-hoc replay's would be.
     rngs: Vec<SimRng>,
     /// Per-VM FCFS server pools (`free[i]` = instant server `i` frees
     /// up); sized to the VM's vCPUs on first use, persists across epochs.
@@ -252,7 +253,7 @@ impl QosStream {
                 let start = k * chunk;
                 move || {
                     let mut window = QosWindow::new(hour, sla_ms);
-                    let mut stream = RequestStream::new(profile.clone(), SimRng::new(0));
+                    let mut stream = RequestStream::new(profile.clone());
                     let (mut replayed, mut merged) = (0u64, 0u64);
                     for (j, rng) in rngs.iter_mut().enumerate() {
                         let i = start + j;
@@ -366,9 +367,8 @@ fn stream_profile(profile: &RequestProfile) -> RequestProfile {
 }
 
 /// Draws and serves one VM's requests for `hour` at activity `level`
-/// into the chunk `window` — the streaming twin of the replay's
-/// `replay_vm_batched`, over the same shared FCFS/wake-episode
-/// arithmetic.
+/// into the chunk `window`, with the FCFS/wake-episode arithmetic the
+/// post-hoc replay shares.
 #[allow(clippy::too_many_arguments)] // the chunk fan-out's split-borrow seam
 fn serve_hour(
     hour: u64,
@@ -385,8 +385,8 @@ fn serve_hour(
     if free.is_empty() {
         free.resize(width, SimTime::EPOCH);
     }
-    stream.fill_hour_with(rng, hour, level);
-    let (arrivals, services) = stream.emit_rest();
+    stream.fill_hour(rng, hour, level);
+    let (arrivals, services) = stream.requests();
     // Arrivals are monotone within the hour: residency resolves with a
     // forward walk, power state with a fresh timeline cursor.
     let mut mv = 0usize;
@@ -501,7 +501,7 @@ impl QosBaseline {
         let timelines = [Some(&awake)];
         let moves = [(SimTime::EPOCH, HostId::from_index(0))];
         let sla_ms = key.profile.sla.as_millis();
-        let mut stream = RequestStream::new(key.profile.clone(), SimRng::new(0));
+        let mut stream = RequestStream::new(key.profile.clone());
         let vms = key
             .specs
             .iter()

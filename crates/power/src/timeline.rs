@@ -240,8 +240,8 @@ impl PowerTimeline {
 
 /// A monotone lookup cursor over one [`PowerTimeline`].
 ///
-/// Batch consumers (the interval-batched QoS replay, the streaming
-/// pipeline) query timelines with non-decreasing instants; the cursor
+/// Batch consumers (the streaming QoS pipeline) query timelines with
+/// non-decreasing instants; the cursor
 /// remembers the last interval hit and walks forward from there, so a
 /// whole request stream costs O(intervals + requests) instead of
 /// O(requests · log intervals). Queries that jump backwards fall back to

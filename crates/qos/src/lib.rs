@@ -6,28 +6,24 @@
 //! ≈800 ms quick resume). This crate adds that evaluation dimension to
 //! every policy, scenario and sweep:
 //!
-//! * The datacenter run records per-host [`PowerTimeline`]s and a VM
-//!   placement log (`DcConfig::track_power_timeline`).
-//! * [`replay`](fn@replay) drives each interactive VM's Poisson request stream
-//!   (rate following its activity trace, the paper's open-loop client)
-//!   through those timelines: requests arriving while the host is parked
-//!   or mid-resume queue until it is operational, the wake-triggering
-//!   request pays exactly the recorded resume latency, and every latency
-//!   lands in a log-bucketed mergeable histogram.
+//! * [`run_cluster_qos`] runs one cluster point with the *streaming*
+//!   pipeline of `dds-core` attached (`DcConfig::stream_qos`): each
+//!   interactive VM's Poisson request stream (rate following its activity
+//!   trace, the paper's open-loop client) is served at every epoch end
+//!   against the power states the run just produced. Requests arriving
+//!   while the host is parked or mid-resume queue until it is
+//!   operational, the wake-triggering request pays exactly the resume
+//!   latency, and every latency lands in a log-bucketed mergeable
+//!   histogram. Each epoch's [`QosWindow`] also reaches the control
+//!   policy, which is what lets closed-loop policies (`sla-aware`) react.
 //! * [`QosReport`] surfaces p50/p95/p99/p99.9, SLA attainment and
-//!   violations charged to wakes vs queueing. Per-VM replays fan out
-//!   across threads with **bit-identical** merged reports (`run_sweep`'s
-//!   determinism contract, extended to QoS).
-//!
-//! [`replay`](fn@replay) is the interval-batched fast path (whole hours
-//! of arrivals drawn per batch, cursor-amortized lookups, chunked pool
-//! fan-out with reused buffers); [`replay_per_request`] keeps the
-//! original event-per-request walk as the bit-identical reference. The
-//! *streaming* variant of the same pipeline lives inside `dds-core`
-//! (`QosStreamConfig`): it accumulates per-epoch [`QosWindow`]s while the
-//! run executes and feeds them back to control policies — this crate and
-//! that engine share semantics and RNG streams, so their reports agree to
-//! the bit wherever both run.
+//!   violations charged to wakes vs queueing, in exact integer
+//!   arithmetic (bit-identical for any thread count).
+//! * [`replay`](fn@replay) is the test oracle: an event-per-request walk
+//!   over a finished run's recorded [`PowerTimeline`]s and placement log
+//!   (`DcConfig::track_power_timeline`). It shares only the FCFS and
+//!   wake-episode arithmetic and the per-VM RNG streams with the
+//!   streaming fold, and the tests pin the two reports bit-identical.
 //!
 //! Together with the energy outcome this turns every policy comparison
 //! into a power-vs-tail-latency Pareto: the `qos` binary (`dds-bench`)
@@ -50,7 +46,7 @@
 //!     peak_rps: 1.0,
 //!     ..RequestProfile::web_search_quick_resume()
 //! };
-//! let (outcome, qos) = run_cluster_qos(&spec, "drowsy-dc", 42, &profile, 0);
+//! let (outcome, qos) = run_cluster_qos(&spec, "drowsy-dc", 42, &profile);
 //! assert!(outcome.energy_kwh() > 0.0);
 //! assert!(qos.sla_attainment() <= 1.0);
 //! println!(
@@ -67,5 +63,48 @@
 pub mod replay;
 pub mod report;
 
-pub use replay::{replay, replay_per_request, run_cluster_qos, QosConfig};
+pub use replay::{replay, QosConfig};
 pub use report::{HostWakeQos, QosReport, QosWindow};
+
+use dds_core::cluster::{run_cluster_policy, ClusterOutcome, ClusterSpec};
+use dds_core::datacenter::DcConfig;
+use dds_power::WakeSpeed;
+use dds_traces::RequestProfile;
+
+/// Runs one cluster point with request-level QoS streamed inline: the
+/// one-call power **and** QoS evaluation. Returns the energy outcome and
+/// the run's QoS report.
+///
+/// The policy name resolves in the standard
+/// [`PolicyRegistry`](dds_core::registry::PolicyRegistry); the noise
+/// gate is the spec's idleness-model threshold. The run's resume path
+/// follows the profile: a stock-resume profile (`resume_latency` at or
+/// above the host model's normal resume) runs the fleet at
+/// `WakeSpeed::Normal`, so wake-triggering requests pay the latency the
+/// profile advertises.
+pub fn run_cluster_qos(
+    spec: &ClusterSpec,
+    policy: &str,
+    seed: u64,
+    profile: &RequestProfile,
+) -> (ClusterOutcome, QosReport) {
+    let mut spec = spec.clone();
+    let wake = wake_path(profile, &spec.config);
+    spec.config.stream_qos(profile.clone(), wake);
+    let mut outcome = run_cluster_policy(&spec, policy, seed);
+    let report = outcome
+        .dc
+        .qos
+        .take()
+        .expect("a streaming run carries a QoS report");
+    (outcome, report)
+}
+
+/// The resume path whose latency `profile` expects on `config`'s hosts.
+fn wake_path(profile: &RequestProfile, config: &DcConfig) -> WakeSpeed {
+    if profile.resume_latency >= config.power.timings.resume_normal {
+        WakeSpeed::Normal
+    } else {
+        WakeSpeed::Quick
+    }
+}

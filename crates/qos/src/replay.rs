@@ -28,34 +28,26 @@
 //! with bit-identical merged reports (all [`QosReport`] state is exact
 //! integer accumulation; see `dds_sim_core::stats::LatencyHistogram`).
 //!
-//! ## Throughput
+//! ## Role
 //!
-//! [`replay`] is the interval-batched fast path: whole hours of arrivals
-//! *and* service times are drawn in one [`RequestStream`] batch (no
-//! per-request allocation), placement and power-state lookups go through
-//! monotone cursors ([`TimelineCursor`], the residency cursor) so each is
-//! O(1) amortized, and the pool fan-out hands each worker a *chunk* of
-//! VMs sharing one report and one stream buffer instead of allocating a
-//! histogram per VM. [`replay_per_request`] keeps the original
-//! event-per-request walk as the ground-truth reference: the batched path
-//! is pinned bit-identical to it by tests and benchmarked against it by
-//! the `qos_replay` Criterion group.
-//!
-//! Deliberately out of scope: DVFS service stretching (SleepScale's
-//! downclocking is charged in energy, not replayed here) and request
-//! feedback into power decisions — that loop is closed by the *streaming*
-//! pipeline inside `dds-core` (`QosStreamConfig`), which shares this
-//! module's semantics and RNG streams and is therefore bit-identical to
-//! this replay wherever both run.
+//! Production code evaluates QoS with the *streaming* pipeline inside
+//! `dds-core` (`DcConfig::qos_stream`): it serves each epoch's requests
+//! while the run executes, so closed-loop policies can react to them.
+//! This replay is the independent reference that pipeline is pinned
+//! against: one event per request, plain timeline and placement-log
+//! lookups, nothing shared with the streaming fold except the FCFS and
+//! wake-episode arithmetic (`dds_sim_core::qos`) and the per-VM RNG
+//! streams. On any run without mid-run departures the two reports are
+//! bit-identical. DVFS service stretching is out of scope (SleepScale's
+//! downclocking is charged in energy, not replayed).
 
 use crate::report::QosReport;
-use dds_core::cluster::{ClusterOutcome, ClusterSpec};
 use dds_core::datacenter::{DcOutcome, PlacementRecord};
-use dds_core::registry::PolicyRegistry;
 use dds_core::spec::{VmSpec, WorkloadKind};
-use dds_power::{PowerTimeline, TimelineCursor};
+use dds_power::PowerTimeline;
+use dds_sim_core::qos::{fcfs_serve, power_ready_at};
 use dds_sim_core::{SimRng, SimTime, WorkerPool};
-use dds_traces::{RequestGenerator, RequestProfile, RequestStream};
+use dds_traces::{RequestGenerator, RequestProfile};
 
 /// Configuration of a QoS replay.
 #[derive(Debug, Clone)]
@@ -97,29 +89,6 @@ impl VmResidency {
     }
 }
 
-/// Monotone cursor over one [`VmResidency`]: remembers the last span hit
-/// and walks forward, so a time-ordered request stream resolves hosts in
-/// O(1) amortized. Backward jumps fall back to binary search (always
-/// correct, like [`TimelineCursor`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct ResidencyCursor {
-    /// `partition_point` of the last queried instant.
-    idx: usize,
-}
-
-impl ResidencyCursor {
-    fn host_at(&mut self, res: &VmResidency, t: SimTime) -> Option<dds_sim_core::HostId> {
-        if self.idx > 0 && res.moves[self.idx - 1].0 > t {
-            self.idx = res.moves.partition_point(|&(at, _)| at <= t);
-        } else {
-            while self.idx < res.moves.len() && res.moves[self.idx].0 <= t {
-                self.idx += 1;
-            }
-        }
-        self.idx.checked_sub(1).map(|i| res.moves[i].1)
-    }
-}
-
 /// Groups the placement log by VM over `slots` dense VM ids. Records of
 /// VMs beyond `slots` (e.g. mid-run admissions whose specs the caller
 /// did not pass) are ignored — the replay covers exactly the provided
@@ -134,29 +103,10 @@ fn residencies(placements: &[PlacementRecord], slots: usize) -> Vec<VmResidency>
     per_vm
 }
 
-/// The FCFS service step and the wake-episode resolution are shared with
-/// the streaming engine (`dds-core`) via `dds_sim_core::qos` — one
-/// implementation, so the two pipelines agree to the bit by construction.
-use dds_sim_core::qos::{fcfs_serve, power_ready_at};
-
-/// Serves one request into `report` (see [`fcfs_serve`]).
-#[inline]
-fn serve_request(
-    report: &mut QosReport,
-    free: &mut [SimTime],
-    arrival: SimTime,
-    service: dds_sim_core::SimDuration,
-    power_ready: SimTime,
-) {
-    let (latency_ms, wake_hit) = fcfs_serve(free, arrival, service, power_ready);
-    report.record(latency_ms, wake_hit);
-}
-
-/// Replays one VM's request stream, event per request — the original
-/// (PR 5) path, kept as the ground truth the batched pipeline is pinned
-/// against. Everything this touches is derived from `(seed, vm index)`
-/// and the run's recorded state, so the result is a pure function.
-fn replay_vm_reference(
+/// Replays one VM's request stream, event per request. Everything this
+/// touches is derived from `(seed, vm index)` and the run's recorded
+/// state, so the result is a pure function.
+fn replay_vm(
     vm: &VmSpec,
     residency: &VmResidency,
     timelines: &[PowerTimeline],
@@ -200,67 +150,11 @@ fn replay_vm_reference(
                 .then(|| timeline.resume_window_after(arrival))
                 .flatten();
             let power_ready = power_ready_at(operational, arrival, window, &mut episode);
-            serve_request(&mut report, &mut free, arrival, service, power_ready);
+            let (latency_ms, wake_hit) = fcfs_serve(&mut free, arrival, service, power_ready);
+            report.record(latency_ms, wake_hit);
         }
     }
     report
-}
-
-/// Replays one VM interval-batched into a shared chunk `report`: whole
-/// hours of arrivals and services come out of `stream` in one batch, and
-/// placement/power lookups ride monotone cursors. Bit-identical to
-/// [`replay_vm_reference`] — same RNG draw order (all gaps, then all
-/// service times, per hour), same FCFS arithmetic, same record order.
-#[allow(clippy::too_many_arguments)]
-fn replay_vm_batched(
-    vm: &VmSpec,
-    residency: &VmResidency,
-    timelines: &[PowerTimeline],
-    cfg: &QosConfig,
-    seed: u64,
-    hours: u64,
-    stream: &mut RequestStream,
-    free: &mut Vec<SimTime>,
-    report: &mut QosReport,
-) {
-    if vm.kind != WorkloadKind::Interactive {
-        return;
-    }
-    stream.reset(SimRng::new(seed).stream_indexed("qos-requests", vm.id.index() as u64));
-    let servers = (vm.vcpus.round() as usize).max(1);
-    free.clear();
-    free.resize(servers, SimTime::EPOCH);
-    let mut episode: Option<(SimTime, SimTime)> = None;
-    let mut res_cursor = ResidencyCursor::default();
-    let mut tl_cursor = TimelineCursor::new();
-
-    for hour in 0..hours {
-        let level = vm.trace.level_at_hour(hour);
-        if level < cfg.noise {
-            continue;
-        }
-        stream.fill_hour(hour, level);
-        let (arrivals, services) = stream.emit_rest();
-        for (&arrival, &service) in arrivals.iter().zip(services) {
-            let Some(host) = res_cursor.host_at(residency, arrival) else {
-                report.unserved += 1;
-                continue;
-            };
-            // One cursor serves every host this VM visits: arrivals are
-            // monotone, and the cursor's backward fallback makes a host
-            // switch at worst one binary search.
-            let timeline = &timelines[host.index()];
-            let Some(operational) = tl_cursor.operational_from(timeline, arrival) else {
-                report.unserved += 1;
-                continue;
-            };
-            let window = (operational != arrival)
-                .then(|| tl_cursor.resume_window_after(timeline, arrival))
-                .flatten();
-            let power_ready = power_ready_at(operational, arrival, window, &mut episode);
-            serve_request(report, free, arrival, service, power_ready);
-        }
-    }
 }
 
 fn worker_count(threads: usize, n: usize) -> usize {
@@ -272,78 +166,13 @@ fn worker_count(threads: usize, n: usize) -> usize {
 }
 
 /// Replays every VM of a finished run and returns the merged
-/// [`QosReport`] — the interval-batched fast path. `outcome` must carry
-/// power timelines and a placement log (run with
-/// `DcConfig::track_power_timeline = true`); `vms` is the run's VM
-/// population (same specs, same order). Fans VM *chunks* out over
+/// [`QosReport`]. `outcome` must carry power timelines and a placement
+/// log (run with `DcConfig::track_power_timeline = true`); `vms` is the
+/// run's VM population (same specs, same order). One task per VM on
 /// `threads` workers of the persistent [`WorkerPool`] (0 = one per
-/// available core); each chunk accumulates into a single report with
-/// reused stream/server buffers, and chunk shards merge in order — the
-/// report is bit-identical for any thread count (and to
-/// [`replay_per_request`]).
+/// available core); shards merge in VM order, so the report is
+/// bit-identical for any thread count.
 pub fn replay(
-    vms: &[VmSpec],
-    outcome: &DcOutcome,
-    cfg: &QosConfig,
-    seed: u64,
-    threads: usize,
-) -> QosReport {
-    assert!(
-        !outcome.timelines.is_empty() || vms.is_empty(),
-        "QoS replay needs power timelines: run with DcConfig::track_power_timeline = true"
-    );
-    let residency = residencies(&outcome.placements, vms.len());
-    let n = vms.len();
-    let workers = worker_count(threads, n);
-    // A few chunks per worker keeps the pool busy when VM costs are
-    // skewed, while still amortizing buffer reuse across many VMs.
-    let chunk = n.div_ceil((workers * 4).max(1)).max(1);
-    let residency = &residency;
-    let sla_ms = cfg.profile.sla.as_millis();
-    let shards = WorkerPool::global().run_ordered(
-        workers,
-        (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let end = (start + chunk).min(n);
-                move || {
-                    let mut report = QosReport::new(sla_ms);
-                    let mut stream = RequestStream::new(cfg.profile.clone(), SimRng::new(0));
-                    let mut free = Vec::new();
-                    for i in start..end {
-                        replay_vm_batched(
-                            &vms[i],
-                            &residency[i],
-                            &outcome.timelines,
-                            cfg,
-                            seed,
-                            outcome.hours,
-                            &mut stream,
-                            &mut free,
-                            &mut report,
-                        );
-                    }
-                    report
-                }
-            })
-            .collect(),
-    );
-    let mut report = QosReport::new(sla_ms);
-    for shard in &shards {
-        report.merge(shard);
-    }
-    report
-}
-
-/// The original event-per-request replay: one task and one freshly
-/// allocated report per VM, plain (uncursored) timeline lookups. Kept as
-/// the reference implementation the batched [`replay`] is pinned against
-/// and as the baseline of the `qos_replay` Criterion bench. Identical
-/// semantics and results; lower throughput (both paths share the Poisson
-/// sampling that bit-identity mandates, so the batched win comes from
-/// the cursors and the amortized buffers — ~1.3× at a 10k-host scenario,
-/// see `results/BENCH_qos.json`).
-pub fn replay_per_request(
     vms: &[VmSpec],
     outcome: &DcOutcome,
     cfg: &QosConfig,
@@ -363,7 +192,7 @@ pub fn replay_per_request(
         (0..n)
             .map(|i| {
                 move || {
-                    replay_vm_reference(
+                    replay_vm(
                         &vms[i],
                         &residency[i],
                         &outcome.timelines,
@@ -380,47 +209,6 @@ pub fn replay_per_request(
         report.merge(shard);
     }
     report
-}
-
-/// Runs one cluster point with timeline tracking forced on and replays
-/// its request streams: the one-call power **and** QoS evaluation.
-/// Returns the energy outcome and the merged QoS report.
-///
-/// The policy name resolves in the standard [`PolicyRegistry`]; the
-/// replay's noise gate comes from the spec's idleness-model threshold.
-/// The run's resume path follows the profile: a stock-resume profile
-/// (`resume_latency` at or above the host model's normal resume) runs
-/// the fleet at `WakeSpeed::Normal`, so the recorded wake windows match
-/// the latency the profile advertises.
-pub fn run_cluster_qos(
-    spec: &ClusterSpec,
-    policy: &str,
-    seed: u64,
-    profile: &RequestProfile,
-    threads: usize,
-) -> (ClusterOutcome, QosReport) {
-    let mut spec = spec.clone();
-    spec.config.track_power_timeline = true;
-    spec.config.sla = profile.sla;
-    // Keep the simulation's own first-packet wake model at the replayed
-    // client's rate, so packet-wake offsets are consistent.
-    spec.config.request_peak_rps = profile.peak_rps;
-    spec.config.request_service =
-        dds_sim_core::SimDuration::from_millis(profile.mean_service_ms as u64);
-    spec.config.wake_speed = if profile.resume_latency >= spec.config.power.timings.resume_normal {
-        dds_power::WakeSpeed::Normal
-    } else {
-        dds_power::WakeSpeed::Quick
-    };
-    let registry = PolicyRegistry::standard();
-    let outcome = dds_core::cluster::run_cluster_policy_with(&registry, &spec, policy, seed);
-    let cfg = QosConfig {
-        profile: profile.clone(),
-        noise: spec.config.im.noise_threshold,
-    };
-    let vms = spec.vm_specs(seed);
-    let report = replay(&vms, &outcome.dc, &cfg, seed, threads);
-    (outcome, report)
 }
 
 #[cfg(test)]
@@ -546,37 +334,13 @@ mod tests {
     }
 
     #[test]
-    fn batched_replay_matches_the_per_request_reference() {
-        // The acceptance criterion: the interval-batched pipeline is
-        // bit-identical to the event-per-request reference — histogram
-        // buckets, exact counters, worst-case latencies — for both a
-        // parking and a non-parking run, at any thread count.
-        for algorithm in [Algorithm::DrowsyDc, Algorithm::NeatNoSuspend] {
-            let hours = 96;
-            let (vms, out) = run_small(
-                algorithm,
-                vec![bursty(96, 1), bursty(96, 2), bursty(96, 3)],
-                hours,
-            );
-            let cfg = QosConfig::paper_default();
-            let reference = replay_per_request(&vms, &out, &cfg, 7, 1);
-            for threads in [1, 2, 4, 0] {
-                let batched = replay(&vms, &out, &cfg, 7, threads);
-                assert_eq!(batched, reference, "threads = {threads}");
-            }
-            assert_eq!(replay_per_request(&vms, &out, &cfg, 7, 3), reference);
-            assert!(reference.total > 0);
-        }
-    }
-
-    #[test]
     fn streaming_report_is_bit_identical_to_the_post_hoc_replay() {
-        // The tentpole acceptance criterion: a run evaluating QoS *inline*
-        // (DcConfig::qos_stream, trimmed timelines, no placement log)
-        // produces exactly the report the post-hoc replay computes from a
-        // fully-recorded twin of the same run — exact counters, histogram
-        // buckets and worst-case latencies — at any worker-thread count on
-        // the streaming side.
+        // The oracle of the production pipeline: a run evaluating QoS
+        // *inline* (DcConfig::qos_stream, trimmed timelines, no placement
+        // log) produces exactly the report the per-request replay
+        // computes from a fully-recorded twin of the same run — exact
+        // counters, histogram buckets and worst-case latencies — at any
+        // worker-thread count on the streaming side.
         use dds_core::datacenter::QosStreamConfig;
         for algorithm in [Algorithm::DrowsyDc, Algorithm::NeatNoSuspend] {
             let hours = 96;
@@ -610,25 +374,31 @@ mod tests {
 
     #[test]
     fn run_cluster_qos_wires_tracking_and_replay_together() {
+        // run_cluster_qos streams. Its report must equal the post-hoc
+        // replay of a timeline-tracked twin of the same run, and the
+        // profile's resume latency must pick the run's wake path: every
+        // resume window the twin records is the ≈800 ms quick path for
+        // the quick profile and the ≈1500 ms stock path otherwise
+        // (Drowsy-DC parks in S3 only).
+        use dds_core::cluster::{run_cluster_policy, ClusterOutcome, ClusterSpec};
         let mut spec = ClusterSpec::paper_default(0.75);
         spec.hosts = 4;
         spec.vms = 12;
         spec.days = 2;
-        let profile = RequestProfile {
-            peak_rps: 1.0,
-            ..RequestProfile::web_search_quick_resume()
+        let seed = 11;
+        let tracked_twin = |profile: &RequestProfile| {
+            let mut twin = spec.clone();
+            let wake = crate::wake_path(profile, &twin.config);
+            twin.config.set_request_profile(profile, wake);
+            twin.config.track_power_timeline = true;
+            let outcome = run_cluster_policy(&twin, "drowsy-dc", seed);
+            let cfg = QosConfig {
+                profile: profile.clone(),
+                noise: twin.config.im.noise_threshold,
+            };
+            let report = replay(&twin.vm_specs(seed), &outcome.dc, &cfg, seed, 0);
+            (outcome, report)
         };
-        let (outcome, report) = run_cluster_qos(&spec, "drowsy-dc", 11, &profile, 0);
-        assert!(outcome.energy_kwh() > 0.0);
-        assert_eq!(outcome.dc.timelines.len(), 4);
-        assert!(report.total > 0, "LLMI mix produces interactive requests");
-        // Determinism end to end.
-        let (_, again) = run_cluster_qos(&spec, "drowsy-dc", 11, &profile, 2);
-        assert_eq!(report, again);
-        // A stock-resume profile flips the run onto the slow wake path:
-        // every resume window recorded in the timelines is the ≈1500 ms
-        // stock latency (Drowsy-DC parks in S3 only), where the quick
-        // profile's run resumed in ≈800 ms.
         let resume_spans = |outcome: &ClusterOutcome| -> Vec<u64> {
             outcome
                 .dc
@@ -639,16 +409,31 @@ mod tests {
                 .map(|iv| iv.duration().as_millis())
                 .collect()
         };
-        let quick_spans = resume_spans(&outcome);
-        assert!(!quick_spans.is_empty(), "the run woke hosts");
-        assert!(quick_spans.iter().all(|&ms| ms == 800), "{quick_spans:?}");
-        let stock = RequestProfile {
-            peak_rps: 1.0,
-            ..RequestProfile::web_search()
-        };
-        let (stock_outcome, _) = run_cluster_qos(&spec, "drowsy-dc", 11, &stock, 0);
-        let stock_spans = resume_spans(&stock_outcome);
-        assert!(!stock_spans.is_empty(), "the stock run woke hosts");
-        assert!(stock_spans.iter().all(|&ms| ms == 1500), "{stock_spans:?}");
+        for (base, resume_ms) in [
+            (RequestProfile::web_search_quick_resume(), 800),
+            (RequestProfile::web_search(), 1500),
+        ] {
+            let profile = RequestProfile {
+                peak_rps: 1.0,
+                ..base
+            };
+            let (outcome, report) = crate::run_cluster_qos(&spec, "drowsy-dc", seed, &profile);
+            assert!(outcome.energy_kwh() > 0.0);
+            assert!(
+                outcome.dc.timelines.is_empty(),
+                "streaming keeps no timelines"
+            );
+            assert!(report.total > 0, "LLMI mix produces interactive requests");
+            let (twin, oracle) = tracked_twin(&profile);
+            assert_eq!(
+                outcome.energy_kwh().to_bits(),
+                twin.energy_kwh().to_bits(),
+                "tracking leaves the physics untouched"
+            );
+            assert_eq!(report, oracle, "resume {resume_ms} ms");
+            let spans = resume_spans(&twin);
+            assert!(!spans.is_empty(), "the run woke hosts");
+            assert!(spans.iter().all(|&ms| ms == resume_ms), "{spans:?}");
+        }
     }
 }

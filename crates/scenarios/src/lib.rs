@@ -76,8 +76,5 @@ pub mod scenario;
 pub use catalog::{catalog, find, CatalogEntry, CATALOG};
 pub use family::{workload_family, ScenarioFamily};
 pub use format::{RawDoc, RawEntry, RawSection, ScenarioError};
-pub use run::{
-    run_scenario, run_scenario_qos, run_scenario_qos_mode, run_scenario_qos_mode_with,
-    run_scenario_qos_with, run_scenario_with, QosMode,
-};
+pub use run::{run_scenario, run_scenario_qos, run_scenario_qos_with, run_scenario_with};
 pub use scenario::{FidelityMode, HostClass, QosSpec, Scenario, WorkloadGroup};

@@ -88,10 +88,10 @@ pub struct WorkloadGroup {
 }
 
 /// The optional `[qos]` section: a request-level workload attached to
-/// the scenario's interactive VMs, evaluated by the `dds-qos` replay.
-/// Its presence turns power-timeline tracking on for every run of the
-/// scenario, so energy results come back with a
-/// [`QosReport`](dds_qos::QosReport) beside them.
+/// the scenario's interactive VMs. It sets the SLA, request rate and
+/// resume path of every run of the scenario, and
+/// [`run_scenario_qos`](crate::run_scenario_qos) streams it to pair each
+/// energy result with a [`QosReport`](dds_qos::QosReport).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QosSpec {
     /// The client profile replayed against every interactive VM.
@@ -873,6 +873,16 @@ impl Scenario {
         }
     }
 
+    /// The request workload QoS runs of this scenario evaluate: its
+    /// `[qos]` section, or the paper's quick-resume web-search client
+    /// when it has none.
+    pub fn qos_or_default(&self) -> QosSpec {
+        self.qos.clone().unwrap_or(QosSpec {
+            profile: RequestProfile::web_search_quick_resume(),
+            wake: WakeSpeed::Quick,
+        })
+    }
+
     /// Compiles the scenario onto the cluster machinery: the fleet
     /// expands into per-host [`HostSpec`]s (class power models attached),
     /// the workload mix into [`VmMemberSpec`] groups, and the engine
@@ -883,16 +893,7 @@ impl Scenario {
         config.track_sla = true;
         config.relocation_period_hours = self.relocation_hours;
         if let Some(qos) = &self.qos {
-            // The QoS replay needs the run's power timelines; the wake
-            // path and SLA threshold follow the [qos] section. The
-            // simulation's own first-packet wake model runs at the same
-            // request rate as the replayed client, so packet-wake offsets
-            // are consistent between the run and the replay.
-            config.track_power_timeline = true;
-            config.wake_speed = qos.wake;
-            config.sla = qos.profile.sla;
-            config.request_peak_rps = qos.profile.peak_rps;
-            config.request_service = SimDuration::from_millis(qos.profile.mean_service_ms as u64);
+            config.set_request_profile(&qos.profile, qos.wake);
         }
         let fleet: Vec<HostSpec> = self
             .fleet
@@ -1365,11 +1366,15 @@ ram-mb = 6144
             SimDuration::from_millis(1500),
             "stock wake pairs with the stock resume expectation"
         );
-        // Compilation forces timeline tracking and carries the wake path.
+        // Compilation carries the wake path, SLA and request rate; it
+        // neither tracks whole-run timelines nor streams QoS (the QoS
+        // runner attaches the stream).
         let spec = s.to_cluster_spec();
-        assert!(spec.config.track_power_timeline);
+        assert!(!spec.config.track_power_timeline);
+        assert!(spec.config.qos_stream.is_none());
         assert_eq!(spec.config.wake_speed, WakeSpeed::Normal);
         assert_eq!(spec.config.sla, SimDuration::from_millis(150));
+        assert_eq!(spec.config.request_peak_rps, 2.5);
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! * [`pool`] — a persistent worker pool ([`WorkerPool`]): long-lived
 //!   workers parked on a condvar between batches, submission-ordered
 //!   results, so every parallel hot loop (fleet shards, sweeps, QoS
-//!   replays) dispatches work without per-call thread spawns.
+//!   folds) dispatches work without per-call thread spawns.
 //! * [`ids`] — typed identifiers for simulation entities (VMs, hosts, …).
 //! * [`qos`] — mergeable request-level QoS accumulators ([`qos::QosReport`],
-//!   [`qos::QosWindow`]): exact-integer state shared by the post-hoc replay
-//!   and the streaming per-epoch pipeline.
+//!   [`qos::QosWindow`]): exact-integer state shared by the streaming
+//!   per-epoch pipeline and the post-hoc replay that tests pin it to.
 //! * [`rng`] — seedable, stream-split random number helpers so that every
 //!   experiment is reproducible from a single `u64` seed.
 //! * [`stats`] — online statistics, percentile summaries and text/CSV table

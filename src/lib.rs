@@ -14,8 +14,8 @@
 //! * [`placement`] — Nova-style scheduler, Neat, Oasis and Drowsy-DC
 //!   placement algorithms.
 //! * [`system`] — the integrated datacenter model and controllers.
-//! * [`qos`] — request-level QoS: per-request latency replay against the
-//!   run's power timelines, tail percentiles and SLA accounting.
+//! * [`qos`] — request-level QoS: streamed per-request latency, tail
+//!   percentiles and SLA accounting, plus the post-hoc replay oracle.
 //! * [`telemetry`] — metrics registry, epoch flight recorder and span
 //!   profiling hooks (logical metrics stay bit-identical across
 //!   execution grids; timing metrics live in a separate artifact).

@@ -1,5 +1,5 @@
 //! End-to-end tests of the request-level QoS subsystem (`dds-qos`):
-//! scenario → run → timeline export → replay → `QosReport`, plus the
+//! scenario → run with streaming QoS → `QosReport`, plus the
 //! determinism and SLA-shape contracts the `qos` binary reports on.
 
 use drowsy_dc::prelude::*;
@@ -152,13 +152,11 @@ fn cluster_level_qos_pairs_energy_with_latency() {
         peak_rps: 0.5,
         ..RequestProfile::web_search_quick_resume()
     };
-    let (outcome, report) = run_cluster_qos(&spec, "drowsy-dc", 42, &profile, 0);
+    let (outcome, report) = run_cluster_qos(&spec, "drowsy-dc", 42, &profile);
     assert!(outcome.energy_kwh() > 0.0);
-    assert_eq!(outcome.dc.timelines.len(), spec.hosts);
-    assert!(!outcome.dc.placements.is_empty());
     assert!(report.total > 0);
-    // Replaying the same run twice is a pure function.
-    let (outcome2, report2) = run_cluster_qos(&spec, "drowsy-dc", 42, &profile, 3);
+    // Evaluating the same point twice is a pure function.
+    let (outcome2, report2) = run_cluster_qos(&spec, "drowsy-dc", 42, &profile);
     assert_eq!(
         outcome.energy_kwh().to_bits(),
         outcome2.energy_kwh().to_bits()
